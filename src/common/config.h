@@ -1,7 +1,8 @@
 // Minimal INI-style configuration files.
 //
-// Sections in brackets, key = value pairs, '#' or ';' comments. Used by the
-// dcm_sim CLI so whole experiments are runnable without recompiling.
+// Sections in brackets, key = value pairs, '#' or ';' comments. The reader
+// and writer behind `scenario::Scenario`'s INI form, so whole experiments
+// are runnable without recompiling.
 #pragma once
 
 #include <map>

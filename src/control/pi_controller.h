@@ -25,6 +25,7 @@
 #pragma once
 
 #include "control/controller.h"
+#include "control/tuning.h"
 
 namespace dcm::control {
 
@@ -40,6 +41,17 @@ struct PiConfig {
   double deadband = 0.5;
   /// Clamp on the running error integral (anti-windup backstop).
   double integral_limit = 5.0;
+
+  bool operator==(const PiConfig&) const = default;
+};
+
+/// Scenario `[controller]` keys for kind = pi.
+inline constexpr TuningKey<PiConfig> kPiTuningKeys[] = {
+    {.name = "target_util", .real = &PiConfig::target_util, .min = 0.0, .max = 1.0,
+     .min_open = true, .max_open = true},
+    {.name = "kp", .real = &PiConfig::kp, .min = 0.0},
+    {.name = "ki", .real = &PiConfig::ki, .min = 0.0},
+    {.name = "deadband", .real = &PiConfig::deadband, .min = 0.0},
 };
 
 class PiController final : public ControllerBase {

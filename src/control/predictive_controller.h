@@ -22,6 +22,7 @@
 #pragma once
 
 #include "control/controller.h"
+#include "control/tuning.h"
 
 namespace dcm::control {
 
@@ -33,6 +34,16 @@ struct PredictiveConfig {
   double trend_beta = 0.3;
   /// Look-ahead in control periods; roughly ceil(boot_delay / period).
   int horizon_periods = 2;
+
+  bool operator==(const PredictiveConfig&) const = default;
+};
+
+/// Scenario `[controller]` keys for kind = predictive.
+inline constexpr TuningKey<PredictiveConfig> kPredictiveTuningKeys[] = {
+    {.name = "alpha", .real = &PredictiveConfig::level_alpha, .min = 0.0, .max = 1.0,
+     .min_open = true},
+    {.name = "beta", .real = &PredictiveConfig::trend_beta, .min = 0.0, .max = 1.0},
+    {.name = "horizon", .integer = &PredictiveConfig::horizon_periods, .min = 1.0},
 };
 
 class PredictiveController final : public ControllerBase {

@@ -21,6 +21,7 @@
 #pragma once
 
 #include "control/controller.h"
+#include "control/tuning.h"
 
 namespace dcm::control {
 
@@ -31,6 +32,14 @@ struct QueueingConfig {
   double target_util = 0.6;
   /// EMA weight on the newest demand sample (0 < w ≤ 1; 1 = no smoothing).
   double demand_smoothing = 0.5;
+
+  bool operator==(const QueueingConfig&) const = default;
+};
+
+/// Scenario `[controller]` keys for kind = queueing.
+inline constexpr TuningKey<QueueingConfig> kQueueingTuningKeys[] = {
+    {.name = "target_util", .real = &QueueingConfig::target_util, .min = 0.0, .max = 1.0,
+     .min_open = true, .max_open = true},
 };
 
 class QueueingController final : public ControllerBase {

@@ -37,6 +37,8 @@ struct ScalingPolicy {
   /// threshold ± hysteresis before a trigger arms or disarms, killing scale
   /// flapping when utilisation hovers at a threshold.
   double hysteresis = 0.0;
+
+  bool operator==(const ScalingPolicy&) const = default;
 };
 
 }  // namespace dcm::control

@@ -39,69 +39,6 @@ uint64_t experiment_stream_seed(uint64_t root, SeedStream stream) {
   return derive_seed(root, static_cast<uint64_t>(stream));
 }
 
-ControllerSpec ControllerSpec::none() { return {}; }
-
-ControllerSpec ControllerSpec::ec2(control::ScalingPolicy policy) {
-  ControllerSpec spec;
-  spec.kind = Kind::kEc2AutoScale;
-  spec.policy = policy;
-  return spec;
-}
-
-ControllerSpec ControllerSpec::dcm_controller(control::DcmConfig config) {
-  ControllerSpec spec;
-  spec.kind = Kind::kDcm;
-  spec.policy = config.policy;
-  spec.dcm = std::move(config);
-  return spec;
-}
-
-ControllerSpec ControllerSpec::predictive_controller(control::PredictiveConfig config) {
-  ControllerSpec spec;
-  spec.kind = Kind::kPredictive;
-  spec.policy = config.policy;
-  spec.predictive = std::move(config);
-  return spec;
-}
-
-ControllerSpec ControllerSpec::queueing_controller(control::QueueingConfig config) {
-  ControllerSpec spec;
-  spec.kind = Kind::kQueueing;
-  spec.policy = config.policy;
-  spec.queueing = std::move(config);
-  return spec;
-}
-
-ControllerSpec ControllerSpec::pi_controller(control::PiConfig config) {
-  ControllerSpec spec;
-  spec.kind = Kind::kPi;
-  spec.policy = config.policy;
-  spec.pi = std::move(config);
-  return spec;
-}
-
-const char* ControllerSpec::registry_name() const {
-  switch (kind) {
-    case Kind::kNone: return "";
-    case Kind::kEc2AutoScale: return "ec2";
-    case Kind::kDcm: return "dcm";
-    case Kind::kPredictive: return "predictive";
-    case Kind::kQueueing: return "queueing";
-    case Kind::kPi: return "pi";
-  }
-  return "";
-}
-
-control::ControllerMenu ControllerSpec::menu() const {
-  control::ControllerMenu menu;
-  menu.policy = policy;
-  menu.dcm = dcm;
-  menu.predictive = predictive;
-  menu.queueing = queueing;
-  menu.pi = pi;
-  return menu;
-}
-
 TierTimeline::TierTimeline(const std::string& tier_name)
     : name(tier_name),
       provisioned_vms(tier_name + ".vms", sim::kNanosPerSecond),
@@ -191,28 +128,29 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
   }
 
   std::unique_ptr<control::ControllerBase> controller;
-  if (config.controller.kind != ControllerSpec::Kind::kNone) {
-    control::ControllerMenu menu = config.controller.menu();
-    if (config.controller.kind == ControllerSpec::Kind::kDcm) {
-      // When the caller left the managed pair at the 3-tier defaults, derive
-      // it from the graph roles (first app node / first db node) so non-chain
-      // topologies get the right pair without explicit indexes. Chains derive
-      // their existing values, so this never shifts a legacy configuration.
-      if (menu.dcm.app_tier == 1 && menu.dcm.db_tier == 2) {
-        const int app_node = graph.first_node_with_role(ntier::NodeRole::kApp);
-        const int db_node = graph.first_node_with_role(ntier::NodeRole::kDb);
-        if (app_node >= 0 && db_node >= 0 && app_node < db_node) {
-          menu.dcm.app_tier = static_cast<size_t>(app_node);
-          menu.dcm.db_tier = static_cast<size_t>(db_node);
-        }
-      }
-      if (config.resilience.enabled) {
-        menu.dcm.watchdog_periods = config.resilience.watchdog_periods;
-        menu.dcm.min_fit_r2 = config.resilience.min_fit_r2;
+  if (config.controller.name == "dcm") {
+    // DCM's managed pair and watchdog depend on the run, so a DCM spec is
+    // copied to be adjusted; every other family is built from it as is.
+    control::ControllerSpec dcm = config.controller;
+    // When the caller left the managed pair at the 3-tier defaults, derive
+    // it from the graph roles (first app node / first db node) so non-chain
+    // topologies get the right pair without explicit indexes. Chains derive
+    // their existing values, so this never shifts a legacy configuration.
+    if (dcm.dcm.app_tier == 1 && dcm.dcm.db_tier == 2) {
+      const int app_node = graph.first_node_with_role(ntier::NodeRole::kApp);
+      const int db_node = graph.first_node_with_role(ntier::NodeRole::kDb);
+      if (app_node >= 0 && db_node >= 0 && app_node < db_node) {
+        dcm.dcm.app_tier = static_cast<size_t>(app_node);
+        dcm.dcm.db_tier = static_cast<size_t>(db_node);
       }
     }
-    controller =
-        control::make_controller(config.controller.registry_name(), engine, app, broker, menu);
+    if (config.resilience.enabled) {
+      dcm.dcm.watchdog_periods = config.resilience.watchdog_periods;
+      dcm.dcm.min_fit_r2 = config.resilience.min_fit_r2;
+    }
+    controller = control::make_controller(engine, app, broker, dcm);
+  } else if (config.controller.enabled()) {
+    controller = control::make_controller(engine, app, broker, config.controller);
   }
 
   if (controller && tracer) {

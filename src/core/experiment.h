@@ -39,29 +39,8 @@ struct WorkloadSpec {
   static WorkloadSpec trace_driven(workload::Trace trace, double think_s = 3.0);
 };
 
-struct ControllerSpec {
-  enum class Kind { kNone, kEc2AutoScale, kDcm, kPredictive, kQueueing, kPi };
-  Kind kind = Kind::kNone;
-  control::ScalingPolicy policy;
-  /// Per-family tuning knobs; only the chosen kind's member is read, and
-  /// `policy` above is copied into it at construction time.
-  control::DcmConfig dcm;
-  control::PredictiveConfig predictive;
-  control::QueueingConfig queueing;
-  control::PiConfig pi;
-
-  static ControllerSpec none();
-  static ControllerSpec ec2(control::ScalingPolicy policy = {});
-  static ControllerSpec dcm_controller(control::DcmConfig config);
-  static ControllerSpec predictive_controller(control::PredictiveConfig config);
-  static ControllerSpec queueing_controller(control::QueueingConfig config);
-  static ControllerSpec pi_controller(control::PiConfig config);
-
-  /// The controller-registry key for this kind ("" for kNone).
-  const char* registry_name() const;
-  /// Bundles the spec into the registry's construction menu.
-  control::ControllerMenu menu() const;
-};
+/// The registry's controller choice (name + policy + per-family knobs).
+using ControllerSpec = control::ControllerSpec;
 
 /// End-to-end resilience switchboard. One flag arms the whole stack with
 /// the listed defaults: client deadline/retry, inter-tier sub-request

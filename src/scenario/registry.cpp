@@ -186,6 +186,14 @@ Scenario get_scenario(const std::string& name) {
   return Scenario::parse(scenario_text(name));
 }
 
+Scenario resolve_scenario(const std::string& name_or_path) {
+  if (!has_scenario(name_or_path) &&
+      name_or_path.find_first_of("./") != std::string::npos) {
+    return Scenario::load(name_or_path);
+  }
+  return get_scenario(name_or_path);  // throws with the known-name list
+}
+
 std::optional<uint64_t> expected_result_digest(const std::string& name) {
   // result_digest of one canonical, override-free run per scenario. These
   // are bit-for-bit reference values: they were captured before the

@@ -35,4 +35,8 @@ const std::string& scenario_text(const std::string& name);
 /// Parsed scenario. Throws std::runtime_error on an unknown name.
 Scenario get_scenario(const std::string& name);
 
+/// A registry name, or a path to an INI file: anything unregistered with a
+/// '.' or '/' is loaded as a path; anything else throws like get_scenario.
+Scenario resolve_scenario(const std::string& name_or_path);
+
 }  // namespace dcm::scenario

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "common/strings.h"
+#include "workload/trace_taxonomy.h"
 
 namespace dcm::scenario {
 namespace {
@@ -25,9 +26,31 @@ std::string format_int(int64_t value) { return std::to_string(value); }
   throw std::runtime_error("scenario: " + message);
 }
 
-// Validates an "s0,alpha,beta" model-override triple and returns its
-// canonical spelling, so stored scenarios are normalization fixed points.
-std::string normalize_model_triple(const std::string& key, const std::string& value) {
+// Typed reads that fall back to the field's current value, so each default
+// is written once: in the declaration structs, or in the control-layer
+// configs they take their defaults from.
+void read(const Config& config, const std::string& section, const std::string& key,
+          double& field) {
+  field = config.get_double(section, key, field);
+}
+
+void read(const Config& config, const std::string& section, const std::string& key,
+          int& field) {
+  field = static_cast<int>(config.get_int(section, key, field));
+}
+
+void read(const Config& config, const std::string& section, const std::string& key,
+          bool& field) {
+  field = config.get_bool(section, key, field);
+}
+
+void read(const Config& config, const std::string& section, const std::string& key,
+          std::string& field) {
+  field = config.get_string(section, key, field);
+}
+
+// Parses an "s0,alpha,beta" model-override triple.
+model::ServiceTimeParams parse_model_triple(const std::string& key, const std::string& value) {
   std::vector<double> parts;
   for (const auto& field : split(value, ',')) {
     const auto parsed = parse_double(std::string(trim(field)));
@@ -37,8 +60,145 @@ std::string normalize_model_triple(const std::string& key, const std::string& va
   if (parts.size() != 3) {
     fail("[controller] " + key + " must be 's0,alpha,beta', got: " + value);
   }
-  return format_double(parts[0]) + "," + format_double(parts[1]) + "," +
-         format_double(parts[2]);
+  return {parts[0], parts[1], parts[2]};
+}
+
+// Validates a model-override triple and returns its canonical spelling, so
+// stored scenarios are normalization fixed points.
+std::string normalize_model_triple(const std::string& key, const std::string& value) {
+  const model::ServiceTimeParams params = parse_model_triple(key, value);
+  return format_double(params.s0) + "," + format_double(params.alpha) + "," +
+         format_double(params.beta);
+}
+
+[[noreturn]] void topology_error(const std::string& message) { fail("[topology] " + message); }
+
+core::TopologySpec::Node parse_topology_node(const std::string& field) {
+  const std::vector<std::string> parts = split(field, ':');
+  if (parts.size() != 2) {
+    topology_error("node '" + field + "' must be 'name:role'");
+  }
+  core::TopologySpec::Node node;
+  node.name = std::string(trim(parts[0]));
+  node.role = std::string(trim(parts[1]));
+  if (node.name.empty() || node.role.empty()) {
+    topology_error("node '" + field + "' must be 'name:role'");
+  }
+  return node;
+}
+
+core::TopologySpec::Edge parse_topology_edge(const std::string& field) {
+  // from->to[:calls][:managed]; calls is a non-negative integer or 'q'.
+  const std::vector<std::string> parts = split(field, ':');
+  if (parts.empty() || parts.size() > 3) {
+    topology_error("edge '" + field + "' must be 'from->to:calls[:managed]'");
+  }
+  core::TopologySpec::Edge edge;
+  const size_t arrow = parts[0].find("->");
+  if (arrow == std::string::npos) {
+    topology_error("edge '" + field + "' is missing '->'");
+  }
+  edge.from = std::string(trim(std::string_view(parts[0]).substr(0, arrow)));
+  edge.to = std::string(trim(std::string_view(parts[0]).substr(arrow + 2)));
+  if (edge.from.empty() || edge.to.empty()) {
+    topology_error("edge '" + field + "' must name both endpoints");
+  }
+  if (parts.size() >= 2) {
+    const std::string calls(trim(parts[1]));
+    if (calls == "q") {
+      edge.servlet_calls = true;
+    } else {
+      const auto parsed = parse_int(calls);
+      if (!parsed || *parsed < 0) {
+        topology_error("edge '" + field + "' calls must be a non-negative integer or 'q'");
+      }
+      edge.calls = static_cast<int>(*parsed);
+    }
+  }
+  if (parts.size() == 3) {
+    if (trim(parts[2]) != "managed") {
+      topology_error("edge '" + field + "' trailing field must be 'managed'");
+    }
+    edge.managed = true;
+  }
+  return edge;
+}
+
+// Parses the optional [topology] section. Strict: throws on an unknown kind,
+// malformed node/edge spellings, or graph-only keys (nodes/edges) under a
+// chain kind. Absent section = chain3.
+core::TopologySpec topology_spec_from_config(const Config& config) {
+  core::TopologySpec spec;
+  const std::string kind = config.get_string("topology", "kind", "chain3");
+  if (kind == "chain3") {
+    spec.kind = core::TopologySpec::Kind::kChain3;
+  } else if (kind == "chain4") {
+    spec.kind = core::TopologySpec::Kind::kChain4;
+  } else if (kind == "graph") {
+    spec.kind = core::TopologySpec::Kind::kGraph;
+  } else {
+    topology_error("unknown kind '" + kind + "' (expected chain3|chain4|graph)");
+  }
+  if (spec.kind != core::TopologySpec::Kind::kGraph) {
+    if (config.has("topology", "nodes") || config.has("topology", "edges")) {
+      topology_error("nodes/edges only apply to kind = graph");
+    }
+    return spec;
+  }
+  for (const std::string& field : split(config.get_string("topology", "nodes", ""), ',')) {
+    if (trim(field).empty()) topology_error("empty node entry in nodes list");
+    spec.nodes.push_back(parse_topology_node(std::string(trim(field))));
+  }
+  for (const std::string& field : split(config.get_string("topology", "edges", ""), ',')) {
+    if (trim(field).empty()) topology_error("empty edge entry in edges list");
+    spec.edges.push_back(parse_topology_edge(std::string(trim(field))));
+  }
+  if (spec.nodes.empty()) topology_error("kind = graph requires a nodes list");
+  return spec;
+}
+
+// Canonical text spellings, the exact forms topology_spec_from_config
+// reads back unchanged: "chain3", "name:role, ...", "a->b:calls[:managed]".
+const char* topology_kind_name(core::TopologySpec::Kind kind) {
+  switch (kind) {
+    case core::TopologySpec::Kind::kChain3:
+      return "chain3";
+    case core::TopologySpec::Kind::kChain4:
+      return "chain4";
+    case core::TopologySpec::Kind::kGraph:
+      return "graph";
+  }
+  fail("corrupt topology kind");
+}
+
+std::string topology_nodes_to_string(const core::TopologySpec& spec) {
+  std::string out;
+  for (const auto& node : spec.nodes) {
+    if (!out.empty()) out += ", ";
+    out += node.name + ":" + node.role;
+  }
+  return out;
+}
+
+std::string topology_edges_to_string(const core::TopologySpec& spec) {
+  std::string out;
+  for (const auto& edge : spec.edges) {
+    if (!out.empty()) out += ", ";
+    out += edge.from + "->" + edge.to + ":" +
+           (edge.servlet_calls ? std::string("q") : std::to_string(edge.calls));
+    if (edge.managed) out += ":managed";
+  }
+  return out;
+}
+
+// A taxonomy pattern name, or else a CSV path.
+workload::Trace resolve_trace(const std::string& name, int peak_users, uint64_t seed) {
+  for (const auto pattern : workload::all_trace_patterns()) {
+    if (name == workload::trace_pattern_name(pattern)) {
+      return workload::make_trace(pattern, peak_users, seed);
+    }
+  }
+  return workload::Trace::load_csv(name);
 }
 
 WorkloadDecl::Kind parse_workload_kind(const std::string& kind) {
@@ -46,17 +206,6 @@ WorkloadDecl::Kind parse_workload_kind(const std::string& kind) {
   if (kind == "rubbos") return WorkloadDecl::Kind::kRubbos;
   if (kind == "trace") return WorkloadDecl::Kind::kTrace;
   fail("unknown workload kind '" + kind + "' (expected jmeter|rubbos|trace)");
-}
-
-ControllerDecl::Kind parse_controller_kind(const std::string& kind) {
-  if (kind == "none") return ControllerDecl::Kind::kNone;
-  if (kind == "ec2") return ControllerDecl::Kind::kEc2;
-  if (kind == "dcm") return ControllerDecl::Kind::kDcm;
-  if (kind == "predictive") return ControllerDecl::Kind::kPredictive;
-  if (kind == "queueing") return ControllerDecl::Kind::kQueueing;
-  if (kind == "pi") return ControllerDecl::Kind::kPi;
-  fail("unknown controller kind '" + kind +
-       "' (expected none|ec2|dcm|predictive|queueing|pi)");
 }
 
 const char* workload_kind_name(WorkloadDecl::Kind kind) {
@@ -71,28 +220,30 @@ const char* workload_kind_name(WorkloadDecl::Kind kind) {
   fail("corrupt workload kind");
 }
 
-const char* controller_kind_name(ControllerDecl::Kind kind) {
-  switch (kind) {
-    case ControllerDecl::Kind::kNone:
-      return "none";
-    case ControllerDecl::Kind::kEc2:
-      return "ec2";
-    case ControllerDecl::Kind::kDcm:
-      return "dcm";
-    case ControllerDecl::Kind::kPredictive:
-      return "predictive";
-    case ControllerDecl::Kind::kQueueing:
-      return "queueing";
-    case ControllerDecl::Kind::kPi:
-      return "pi";
-  }
-  fail("corrupt controller kind");
+// "none" or a controller-registry name.
+std::string checked_controller_kind(const std::string& kind) {
+  if (kind == "none" || control::has_controller(kind)) return kind;
+  std::string expected = "none";
+  for (const auto& name : control::controller_names()) expected += "|" + name;
+  fail("unknown controller kind '" + kind + "' (expected " + expected + ")");
+}
+
+// Calls fn(key, family_config) for each tuning key of the declared zoo
+// family; ec2, dcm and none have none. `Decl` is (const) ControllerDecl.
+template <class Decl, class Fn>
+void for_each_tuning_key(Decl& controller, Fn&& fn) {
+  const auto visit = [&](const auto& keys, auto& family) {
+    for (const auto& key : keys) fn(key, family);
+  };
+  if (controller.kind == "predictive") visit(control::kPredictiveTuningKeys, controller.holt);
+  if (controller.kind == "queueing") visit(control::kQueueingTuningKeys, controller.queueing);
+  if (controller.kind == "pi") visit(control::kPiTuningKeys, controller.pi);
 }
 
 // The full vocabulary a scenario may use, conditioned on the declared
 // kinds — anything outside this set is a spelling mistake, not a default.
 std::map<std::string, std::set<std::string>> allowed_keys(WorkloadDecl::Kind workload,
-                                                          ControllerDecl::Kind controller,
+                                                          const std::string& controller,
                                                           core::TopologySpec::Kind topology,
                                                           bool resilience_enabled,
                                                           bool trace_enabled) {
@@ -118,7 +269,7 @@ std::map<std::string, std::set<std::string>> allowed_keys(WorkloadDecl::Kind wor
     resilience_keys.insert({"client_timeout", "client_retries", "client_backoff",
                             "subrequest_timeout", "subrequest_retries", "health_period",
                             "health_failure_threshold", "replace_failed"});
-    if (controller == ControllerDecl::Kind::kDcm) {
+    if (controller == "dcm") {
       resilience_keys.insert({"watchdog_periods", "min_fit_r2"});
     }
   }
@@ -146,33 +297,26 @@ std::map<std::string, std::set<std::string>> allowed_keys(WorkloadDecl::Kind wor
 
   std::set<std::string>& controller_keys = allowed["controller"];
   controller_keys.insert("kind");
-  if (controller != ControllerDecl::Kind::kNone) {
+  if (controller != "none") {
     controller_keys.insert({"control_period", "scale_out_util", "scale_in_util",
                             "scale_in_consecutive", "hysteresis"});
   }
   // The bool predictive trigger and the SLA trigger are ec2/dcm hardware-rule
   // extensions; the zoo kinds have their own trigger shapes.
-  if (controller == ControllerDecl::Kind::kEc2 || controller == ControllerDecl::Kind::kDcm) {
+  if (controller == "ec2" || controller == "dcm") {
     controller_keys.insert({"predictive", "sla_rt"});
   }
-  if (controller == ControllerDecl::Kind::kDcm) {
+  if (controller == "dcm") {
     controller_keys.insert({"headroom", "online_estimation", "app_model", "db_model"});
   }
-  if (controller == ControllerDecl::Kind::kPredictive) {
-    controller_keys.insert({"alpha", "beta", "horizon"});
-  }
-  if (controller == ControllerDecl::Kind::kQueueing ||
-      controller == ControllerDecl::Kind::kPi) {
-    controller_keys.insert("target_util");
-  }
-  if (controller == ControllerDecl::Kind::kPi) {
-    controller_keys.insert({"kp", "ki", "deadband"});
-  }
+  ControllerDecl decl;
+  decl.kind = controller;
+  for_each_tuning_key(decl, [&](const auto& key, const auto&) { controller_keys.insert(key.name); });
   return allowed;
 }
 
 void reject_unknown_keys(const Config& config, WorkloadDecl::Kind workload,
-                         ControllerDecl::Kind controller, core::TopologySpec::Kind topology,
+                         const std::string& controller, core::TopologySpec::Kind topology,
                          bool resilience_enabled, bool trace_enabled) {
   const auto allowed =
       allowed_keys(workload, controller, topology, resilience_enabled, trace_enabled);
@@ -184,8 +328,7 @@ void reject_unknown_keys(const Config& config, WorkloadDecl::Kind workload,
     for (const auto& [key, value] : keys) {
       if (entry->second.count(key) == 0) {
         fail("unknown key '" + key + "' in [" + section + "] (workload kind " +
-             workload_kind_name(workload) + ", controller kind " +
-             controller_kind_name(controller) + ")");
+             workload_kind_name(workload) + ", controller kind " + controller + ")");
       }
     }
   }
@@ -197,12 +340,39 @@ bool scenario_key_applies(const Config& config, const std::string& section,
                           const std::string& key) {
   const auto allowed =
       allowed_keys(parse_workload_kind(config.get_string("workload", "kind", "rubbos")),
-                   parse_controller_kind(config.get_string("controller", "kind", "none")),
-                   core::topology_spec_from_config(config).kind,
+                   checked_controller_kind(config.get_string("controller", "kind", "none")),
+                   topology_spec_from_config(config).kind,
                    config.get_bool("resilience", "enabled", false),
                    config.get_bool("trace", "enabled", false));
   const auto entry = allowed.find(section);
   return entry != allowed.end() && entry->second.count(key) > 0;
+}
+
+Scenario apply_overrides(const Scenario& base, const Overrides& overrides) {
+  Config config = base.to_config();
+  for (const auto& [path, value] : overrides) {
+    const size_t dot = path.find('.');
+    if (dot == std::string::npos || dot == 0 || dot + 1 == path.size()) {
+      fail("override must be section.key=value, got: " + path);
+    }
+    config.set(path.substr(0, dot), path.substr(dot + 1), value);
+  }
+
+  Config rebuilt;
+  for (const auto& [section, keys] : config.sections()) {
+    for (const auto& [key, value] : keys) {
+      const bool from_override = [&] {
+        for (const auto& [path, v] : overrides) {
+          if (path == section + "." + key) return true;
+        }
+        return false;
+      }();
+      if (from_override || scenario_key_applies(config, section, key)) {
+        rebuilt.set(section, key, value);
+      }
+    }
+  }
+  return Scenario::from_config(rebuilt);
 }
 
 Scenario Scenario::from_config(const Config& config) {
@@ -210,44 +380,41 @@ Scenario Scenario::from_config(const Config& config) {
   scenario.workload.kind =
       parse_workload_kind(config.get_string("workload", "kind", "rubbos"));
   scenario.controller.kind =
-      parse_controller_kind(config.get_string("controller", "kind", "none"));
-  scenario.resilience.enabled = config.get_bool("resilience", "enabled", false);
-  scenario.trace.enabled = config.get_bool("trace", "enabled", false);
-  scenario.topology = core::topology_spec_from_config(config);
+      checked_controller_kind(config.get_string("controller", "kind", "none"));
+  read(config, "resilience", "enabled", scenario.resilience.enabled);
+  read(config, "trace", "enabled", scenario.trace.enabled);
+  scenario.topology = topology_spec_from_config(config);
   reject_unknown_keys(config, scenario.workload.kind, scenario.controller.kind,
                       scenario.topology.kind, scenario.resilience.enabled,
                       scenario.trace.enabled);
 
-  scenario.name = config.get_string("scenario", "name", "unnamed");
-  scenario.summary = config.get_string("scenario", "summary", "");
+  read(config, "scenario", "name", scenario.name);
+  read(config, "scenario", "summary", scenario.summary);
 
-  scenario.hardware.web = static_cast<int>(config.get_int("hardware", "web", 1));
-  scenario.hardware.app = static_cast<int>(config.get_int("hardware", "app", 1));
-  scenario.hardware.db = static_cast<int>(config.get_int("hardware", "db", 1));
+  read(config, "hardware", "web", scenario.hardware.web);
+  read(config, "hardware", "app", scenario.hardware.app);
+  read(config, "hardware", "db", scenario.hardware.db);
 
-  scenario.soft.web_threads = static_cast<int>(config.get_int("soft", "web_threads", 1000));
-  scenario.soft.app_threads = static_cast<int>(config.get_int("soft", "app_threads", 100));
-  scenario.soft.db_connections =
-      static_cast<int>(config.get_int("soft", "db_connections", 80));
+  read(config, "soft", "web_threads", scenario.soft.web_threads);
+  read(config, "soft", "app_threads", scenario.soft.app_threads);
+  read(config, "soft", "db_connections", scenario.soft.db_connections);
 
-  scenario.workload.users = static_cast<int>(config.get_int("workload", "users", 100));
-  scenario.workload.think_seconds = config.get_double("workload", "think_seconds", 3.0);
-  scenario.workload.trace = config.get_string("workload", "trace", "large-variation");
-  scenario.workload.peak_users =
-      static_cast<int>(config.get_int("workload", "peak_users", 350));
+  read(config, "workload", "users", scenario.workload.users);
+  read(config, "workload", "think_seconds", scenario.workload.think_seconds);
+  read(config, "workload", "trace", scenario.workload.trace);
+  read(config, "workload", "peak_users", scenario.workload.peak_users);
 
   ControllerDecl& controller = scenario.controller;
-  controller.control_period_seconds = config.get_double("controller", "control_period", 15.0);
-  controller.scale_out_util = config.get_double("controller", "scale_out_util", 0.80);
-  controller.scale_in_util = config.get_double("controller", "scale_in_util", 0.40);
-  controller.scale_in_consecutive =
-      static_cast<int>(config.get_int("controller", "scale_in_consecutive", 3));
-  controller.hysteresis = config.get_double("controller", "hysteresis", 0.0);
+  read(config, "controller", "control_period", controller.control_period_seconds);
+  read(config, "controller", "scale_out_util", controller.scale_out_util);
+  read(config, "controller", "scale_in_util", controller.scale_in_util);
+  read(config, "controller", "scale_in_consecutive", controller.scale_in_consecutive);
+  read(config, "controller", "hysteresis", controller.hysteresis);
   if (controller.hysteresis < 0.0) fail("[controller] hysteresis must be >= 0");
-  controller.predictive = config.get_bool("controller", "predictive", false);
-  controller.sla_rt = config.get_double("controller", "sla_rt", 0.0);
-  controller.headroom = config.get_double("controller", "headroom", 1.0);
-  controller.online_estimation = config.get_bool("controller", "online_estimation", false);
+  read(config, "controller", "predictive", controller.predictive);
+  read(config, "controller", "sla_rt", controller.sla_rt);
+  read(config, "controller", "headroom", controller.headroom);
+  read(config, "controller", "online_estimation", controller.online_estimation);
   if (config.has("controller", "app_model")) {
     controller.app_model =
         normalize_model_triple("app_model", config.get_string("controller", "app_model"));
@@ -256,74 +423,49 @@ Scenario Scenario::from_config(const Config& config) {
     controller.db_model =
         normalize_model_triple("db_model", config.get_string("controller", "db_model"));
   }
-  controller.alpha = config.get_double("controller", "alpha", 0.5);
-  controller.beta = config.get_double("controller", "beta", 0.3);
-  controller.horizon = static_cast<int>(config.get_int("controller", "horizon", 2));
-  if (controller.kind == ControllerDecl::Kind::kPredictive) {
-    if (controller.alpha <= 0.0 || controller.alpha > 1.0) {
-      fail("[controller] alpha must be in (0, 1]");
+  for_each_tuning_key(controller, [&](const auto& key, auto& family) {
+    if (key.integer != nullptr) {
+      read(config, "controller", key.name, family.*key.integer);
+    } else {
+      read(config, "controller", key.name, family.*key.real);
     }
-    if (controller.beta < 0.0 || controller.beta > 1.0) {
-      fail("[controller] beta must be in [0, 1]");
+    if (!key.accepts(key.get(family))) {
+      fail(std::string("[controller] ") + key.name + " must be " + key.range_text());
     }
-    if (controller.horizon < 1) fail("[controller] horizon must be >= 1");
-  }
-  controller.target_util = config.get_double("controller", "target_util", 0.6);
-  if ((controller.kind == ControllerDecl::Kind::kQueueing ||
-       controller.kind == ControllerDecl::Kind::kPi) &&
-      (controller.target_util <= 0.0 || controller.target_util >= 1.0)) {
-    fail("[controller] target_util must be in (0, 1)");
-  }
-  controller.kp = config.get_double("controller", "kp", 2.0);
-  controller.ki = config.get_double("controller", "ki", 0.5);
-  controller.deadband = config.get_double("controller", "deadband", 0.5);
-  if (controller.kind == ControllerDecl::Kind::kPi) {
-    if (controller.kp < 0.0) fail("[controller] kp must be >= 0");
-    if (controller.ki < 0.0) fail("[controller] ki must be >= 0");
-    if (controller.deadband < 0.0) fail("[controller] deadband must be >= 0");
-  }
+  });
 
   FaultDecl& faults = scenario.faults;
-  faults.crash_mttf = config.get_double("faults", "crash_mttf", 0.0);
-  faults.slowdown_mttf = config.get_double("faults", "slowdown_mttf", 0.0);
-  faults.slowdown_factor = config.get_double("faults", "slowdown_factor", 0.25);
-  faults.slowdown_duration = config.get_double("faults", "slowdown_duration", 30.0);
-  faults.telemetry_loss_mttf = config.get_double("faults", "telemetry_loss_mttf", 0.0);
-  faults.telemetry_loss_duration =
-      config.get_double("faults", "telemetry_loss_duration", 30.0);
-  faults.agent_silence_mttf = config.get_double("faults", "agent_silence_mttf", 0.0);
-  faults.agent_silence_duration =
-      config.get_double("faults", "agent_silence_duration", 30.0);
+  read(config, "faults", "crash_mttf", faults.crash_mttf);
+  read(config, "faults", "slowdown_mttf", faults.slowdown_mttf);
+  read(config, "faults", "slowdown_factor", faults.slowdown_factor);
+  read(config, "faults", "slowdown_duration", faults.slowdown_duration);
+  read(config, "faults", "telemetry_loss_mttf", faults.telemetry_loss_mttf);
+  read(config, "faults", "telemetry_loss_duration", faults.telemetry_loss_duration);
+  read(config, "faults", "agent_silence_mttf", faults.agent_silence_mttf);
+  read(config, "faults", "agent_silence_duration", faults.agent_silence_duration);
 
-  if (scenario.resilience.enabled) {
-    ResilienceDecl& res = scenario.resilience;
-    res.client_timeout = config.get_double("resilience", "client_timeout", 2.0);
-    res.client_retries = static_cast<int>(config.get_int("resilience", "client_retries", 2));
-    res.client_backoff = config.get_double("resilience", "client_backoff", 0.25);
-    res.subrequest_timeout = config.get_double("resilience", "subrequest_timeout", 1.0);
-    res.subrequest_retries =
-        static_cast<int>(config.get_int("resilience", "subrequest_retries", 1));
-    res.health_period = config.get_double("resilience", "health_period", 5.0);
-    res.health_failure_threshold =
-        static_cast<int>(config.get_int("resilience", "health_failure_threshold", 3));
-    res.replace_failed = config.get_bool("resilience", "replace_failed", true);
-    if (scenario.controller.kind == ControllerDecl::Kind::kDcm) {
-      res.watchdog_periods =
-          static_cast<int>(config.get_int("resilience", "watchdog_periods", 2));
-      res.min_fit_r2 = config.get_double("resilience", "min_fit_r2", 0.0);
-    }
+  // Detail keys only parse when they apply (reject_unknown_keys), so the
+  // reads below leave the defaults in place otherwise.
+  ResilienceDecl& res = scenario.resilience;
+  read(config, "resilience", "client_timeout", res.client_timeout);
+  read(config, "resilience", "client_retries", res.client_retries);
+  read(config, "resilience", "client_backoff", res.client_backoff);
+  read(config, "resilience", "subrequest_timeout", res.subrequest_timeout);
+  read(config, "resilience", "subrequest_retries", res.subrequest_retries);
+  read(config, "resilience", "health_period", res.health_period);
+  read(config, "resilience", "health_failure_threshold", res.health_failure_threshold);
+  read(config, "resilience", "replace_failed", res.replace_failed);
+  read(config, "resilience", "watchdog_periods", res.watchdog_periods);
+  read(config, "resilience", "min_fit_r2", res.min_fit_r2);
+
+  read(config, "trace", "rate", scenario.trace.rate);
+  if (scenario.trace.rate < 0.0 || scenario.trace.rate > 1.0) {
+    fail("[trace] rate must be in [0, 1]");
   }
 
-  if (scenario.trace.enabled) {
-    scenario.trace.rate = config.get_double("trace", "rate", 1.0);
-    if (scenario.trace.rate < 0.0 || scenario.trace.rate > 1.0) {
-      fail("[trace] rate must be in [0, 1]");
-    }
-  }
-
-  scenario.duration_seconds = config.get_double("run", "duration", 300.0);
-  scenario.warmup_seconds = config.get_double("run", "warmup", 30.0);
-  scenario.max_vms = static_cast<int>(config.get_int("run", "max_vms", 8));
+  read(config, "run", "duration", scenario.duration_seconds);
+  read(config, "run", "warmup", scenario.warmup_seconds);
+  read(config, "run", "max_vms", scenario.max_vms);
   scenario.seed = static_cast<uint64_t>(config.get_int("run", "seed", 1));
 
   if (scenario.topology.kind == core::TopologySpec::Kind::kGraph) {
@@ -359,10 +501,10 @@ Config Scenario::to_config() const {
 
   // chain3 is canonical as an absent [topology] section.
   if (topology.kind != core::TopologySpec::Kind::kChain3) {
-    config.set("topology", "kind", core::topology_kind_name(topology.kind));
+    config.set("topology", "kind", topology_kind_name(topology.kind));
     if (topology.kind == core::TopologySpec::Kind::kGraph) {
-      config.set("topology", "nodes", core::topology_nodes_to_string(topology));
-      config.set("topology", "edges", core::topology_edges_to_string(topology));
+      config.set("topology", "nodes", topology_nodes_to_string(topology));
+      config.set("topology", "edges", topology_edges_to_string(topology));
     }
   }
 
@@ -382,8 +524,8 @@ Config Scenario::to_config() const {
       break;
   }
 
-  config.set("controller", "kind", controller_kind_name(controller.kind));
-  if (controller.kind != ControllerDecl::Kind::kNone) {
+  config.set("controller", "kind", controller.kind);
+  if (controller.kind != "none") {
     config.set("controller", "control_period", format_double(controller.control_period_seconds));
     config.set("controller", "scale_out_util", format_double(controller.scale_out_util));
     config.set("controller", "scale_in_util", format_double(controller.scale_in_util));
@@ -391,26 +533,16 @@ Config Scenario::to_config() const {
                format_int(controller.scale_in_consecutive));
     config.set("controller", "hysteresis", format_double(controller.hysteresis));
   }
-  if (controller.kind == ControllerDecl::Kind::kEc2 ||
-      controller.kind == ControllerDecl::Kind::kDcm) {
+  if (controller.kind == "ec2" || controller.kind == "dcm") {
     config.set("controller", "predictive", controller.predictive ? "true" : "false");
     config.set("controller", "sla_rt", format_double(controller.sla_rt));
   }
-  if (controller.kind == ControllerDecl::Kind::kPredictive) {
-    config.set("controller", "alpha", format_double(controller.alpha));
-    config.set("controller", "beta", format_double(controller.beta));
-    config.set("controller", "horizon", format_int(controller.horizon));
-  }
-  if (controller.kind == ControllerDecl::Kind::kQueueing ||
-      controller.kind == ControllerDecl::Kind::kPi) {
-    config.set("controller", "target_util", format_double(controller.target_util));
-  }
-  if (controller.kind == ControllerDecl::Kind::kPi) {
-    config.set("controller", "kp", format_double(controller.kp));
-    config.set("controller", "ki", format_double(controller.ki));
-    config.set("controller", "deadband", format_double(controller.deadband));
-  }
-  if (controller.kind == ControllerDecl::Kind::kDcm) {
+  for_each_tuning_key(controller, [&](const auto& key, const auto& family) {
+    config.set("controller", key.name,
+               key.integer != nullptr ? format_int(family.*key.integer)
+                                      : format_double(family.*key.real));
+  });
+  if (controller.kind == "dcm") {
     config.set("controller", "headroom", format_double(controller.headroom));
     config.set("controller", "online_estimation",
                controller.online_estimation ? "true" : "false");
@@ -445,7 +577,7 @@ Config Scenario::to_config() const {
     config.set("resilience", "health_failure_threshold",
                format_int(resilience.health_failure_threshold));
     config.set("resilience", "replace_failed", resilience.replace_failed ? "true" : "false");
-    if (controller.kind == ControllerDecl::Kind::kDcm) {
+    if (controller.kind == "dcm") {
       config.set("resilience", "watchdog_periods", format_int(resilience.watchdog_periods));
       config.set("resilience", "min_fit_r2", format_double(resilience.min_fit_r2));
     }
@@ -466,7 +598,88 @@ Config Scenario::to_config() const {
 std::string Scenario::to_text() const { return to_config().to_text(); }
 
 core::ExperimentConfig Scenario::experiment() const {
-  return core::experiment_from_config(to_config());
+  core::ExperimentConfig experiment;
+  experiment.hardware = hardware;
+  experiment.soft = soft;
+  experiment.topology = topology;
+  experiment.duration_seconds = duration_seconds;
+  experiment.warmup_seconds = warmup_seconds;
+  experiment.max_vms_per_tier = max_vms;
+  experiment.seed = seed;
+
+  switch (workload.kind) {
+    case WorkloadDecl::Kind::kJmeter:
+      experiment.workload = core::WorkloadSpec::jmeter(workload.users);
+      break;
+    case WorkloadDecl::Kind::kRubbos:
+      experiment.workload = core::WorkloadSpec::rubbos(workload.users, workload.think_seconds);
+      break;
+    case WorkloadDecl::Kind::kTrace:
+      experiment.workload = core::WorkloadSpec::trace_driven(
+          resolve_trace(workload.trace, workload.peak_users,
+                        core::experiment_stream_seed(seed, core::SeedStream::kTrace)),
+          workload.think_seconds);
+      break;
+  }
+
+  fault::FaultSpec& fault_spec = experiment.faults;
+  fault_spec.crash_mttf_seconds = faults.crash_mttf;
+  fault_spec.slowdown_mttf_seconds = faults.slowdown_mttf;
+  fault_spec.slowdown_factor = faults.slowdown_factor;
+  fault_spec.slowdown_duration_seconds = faults.slowdown_duration;
+  fault_spec.telemetry_loss_mttf_seconds = faults.telemetry_loss_mttf;
+  fault_spec.telemetry_loss_duration_seconds = faults.telemetry_loss_duration;
+  fault_spec.agent_silence_mttf_seconds = faults.agent_silence_mttf;
+  fault_spec.agent_silence_duration_seconds = faults.agent_silence_duration;
+
+  if (resilience.enabled) {
+    core::ResilienceSpec& spec = experiment.resilience;
+    spec.enabled = true;
+    spec.client_timeout_seconds = resilience.client_timeout;
+    spec.client_retries = resilience.client_retries;
+    spec.client_backoff_seconds = resilience.client_backoff;
+    spec.subrequest_timeout_seconds = resilience.subrequest_timeout;
+    spec.subrequest_retries = resilience.subrequest_retries;
+    spec.health_period_seconds = resilience.health_period;
+    spec.health_failure_threshold = resilience.health_failure_threshold;
+    spec.replace_failed = resilience.replace_failed;
+    spec.watchdog_periods = resilience.watchdog_periods;
+    spec.min_fit_r2 = resilience.min_fit_r2;
+  }
+
+  if (trace.enabled) {
+    experiment.trace.enabled = true;
+    experiment.trace.rate = trace.rate;
+  }
+
+  if (controller.kind == "none") return experiment;
+  core::ControllerSpec& spec = experiment.controller;
+  spec.name = checked_controller_kind(controller.kind);
+  spec.policy.control_period = sim::from_seconds(controller.control_period_seconds);
+  spec.policy.scale_out_util = controller.scale_out_util;
+  spec.policy.scale_in_util = controller.scale_in_util;
+  spec.policy.scale_in_consecutive = controller.scale_in_consecutive;
+  spec.policy.hysteresis = controller.hysteresis;
+  if (controller.kind == "ec2" || controller.kind == "dcm") {
+    spec.policy.predictive = controller.predictive;
+    spec.policy.scale_out_response_time = controller.sla_rt;
+  }
+  if (controller.kind == "dcm") {
+    spec.dcm.app_tier_model = core::tomcat_reference_model();
+    spec.dcm.db_tier_model = core::mysql_reference_model();
+    if (!controller.app_model.empty()) {
+      spec.dcm.app_tier_model.params = parse_model_triple("app_model", controller.app_model);
+    }
+    if (!controller.db_model.empty()) {
+      spec.dcm.db_tier_model.params = parse_model_triple("db_model", controller.db_model);
+    }
+    spec.dcm.stp_headroom = controller.headroom;
+    spec.dcm.online_estimation = controller.online_estimation;
+  }
+  spec.predictive = controller.holt;
+  spec.queueing = controller.queueing;
+  spec.pi = controller.pi;
+  return experiment;
 }
 
 }  // namespace dcm::scenario

@@ -4,22 +4,23 @@
 // soft allocation, workload, controller, run window and the single root
 // seed, plus a name and a one-line summary. It round-trips losslessly
 // through the INI dialect (`parse` → `to_text` → `parse` is identity, and
-// `to_text` is a canonical fixed point), and translation to a runnable
-// `ExperimentConfig` goes through the existing `core::config_loader` so the
-// CLI, the registry, and hand-written INI files all take exactly one path
-// into the simulator.
+// `to_text` is a canonical fixed point), and `experiment()` translates its
+// typed fields straight into a runnable `ExperimentConfig`, so the CLI, the
+// registry, and hand-written INI files all take exactly one path into the
+// simulator.
 //
-// Unlike the raw config loader, `from_config` is strict: unknown sections
-// or keys (and keys that don't apply to the declared workload/controller
-// kind) are errors, so a typo like `contorller` cannot silently fall back
-// to defaults.
+// Parsing is strict: unknown sections or keys (and keys that don't apply to
+// the declared workload/controller kind) are errors, so a typo like
+// `contorller` cannot silently fall back to defaults.
 #pragma once
 
 #include <cstdint>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "common/config.h"
-#include "core/config_loader.h"
+#include "control/controller_registry.h"
 #include "core/experiment.h"
 #include "core/topologies.h"
 
@@ -39,39 +40,36 @@ struct WorkloadDecl {
   bool operator==(const WorkloadDecl&) const = default;
 };
 
-/// Declarative controller. The kind names mirror the control-layer registry
-/// (`control::controller_names()`): ec2 and dcm are the paper's pair, and
-/// predictive / queueing / pi are the zoo additions. The DCM kind may
-/// override the reference Eq. 5 parameters with explicit "s0,alpha,beta"
-/// triples (the wrong-models ablation, or a user-fitted system).
+/// Declarative controller, keyed by registry name: `kind` is "none" or a
+/// `control::controller_names()` entry (ec2 and dcm are the paper's pair,
+/// predictive / queueing / pi the zoo additions). Every default comes from
+/// the control layer's config structs. The DCM kind may override the
+/// reference Eq. 5 parameters with explicit "s0,alpha,beta" triples (the
+/// wrong-models ablation, or a user-fitted system).
 struct ControllerDecl {
-  enum class Kind { kNone, kEc2, kDcm, kPredictive, kQueueing, kPi };
-  Kind kind = Kind::kNone;
-  double control_period_seconds = 15.0;
-  double scale_out_util = 0.80;
-  double scale_in_util = 0.40;
-  int scale_in_consecutive = 3;
+  std::string kind = "none";
+  // Shared VM-level policy (any kind but none).
+  double control_period_seconds = sim::to_seconds(control::ScalingPolicy{}.control_period);
+  double scale_out_util = control::ScalingPolicy{}.scale_out_util;
+  double scale_in_util = control::ScalingPolicy{}.scale_in_util;
+  int scale_in_consecutive = control::ScalingPolicy{}.scale_in_consecutive;
   /// Schmitt-trigger band half-width on both thresholds (0 = historical
-  /// strict comparisons; any non-none kind).
-  double hysteresis = 0.0;
-  // kEc2 / kDcm only (the zoo kinds have their own trigger shapes):
-  bool predictive = false;
-  double sla_rt = 0.0;
-  // kDcm only:
-  double headroom = 1.0;
-  bool online_estimation = false;
+  /// strict comparisons).
+  double hysteresis = control::ScalingPolicy{}.hysteresis;
+  // ec2 / dcm only (the zoo kinds have their own trigger shapes):
+  bool predictive = control::ScalingPolicy{}.predictive;
+  double sla_rt = control::ScalingPolicy{}.scale_out_response_time;
+  // dcm only:
+  double headroom = control::DcmConfig{}.stp_headroom;
+  bool online_estimation = control::DcmConfig{}.online_estimation;
   std::string app_model;  // "" = reference model
   std::string db_model;   // "" = reference model
-  // kPredictive only (Holt smoothing):
-  double alpha = 0.5;
-  double beta = 0.3;
-  int horizon = 2;
-  // kQueueing / kPi: per-server utilisation target ρ*.
-  double target_util = 0.6;
-  // kPi only:
-  double kp = 2.0;
-  double ki = 0.5;
-  double deadband = 0.5;
+  // Zoo tuning, one config per family; its keys are the family's
+  // `control::k*TuningKeys`. The configs' own `policy` members are unused:
+  // the fields above are the policy.
+  control::PredictiveConfig holt;
+  control::QueueingConfig queueing;
+  control::PiConfig pi;
 
   bool operator==(const ControllerDecl&) const = default;
 };
@@ -162,15 +160,28 @@ struct Scenario {
   /// `to_config().to_text()` — the canonical INI form.
   std::string to_text() const;
 
-  /// Runnable translation, routed through core::experiment_from_config so
-  /// scenarios and raw INI files share one code path into the simulator.
+  /// Runnable translation: resolves the trace (taxonomy name or CSV path,
+  /// synthesized from the kTrace stream of the root seed) and DCM's
+  /// reference models with any Eq. 5 overrides. Throws std::runtime_error on
+  /// an unresolvable trace or an unknown controller kind.
   core::ExperimentConfig experiment() const;
 };
 
+/// "section.key" → value overrides, in application order.
+using Overrides = std::vector<std::pair<std::string, std::string>>;
+
+/// `base` with the overrides applied (a later override of the same key
+/// wins), re-validated strictly. A kind or gate override (workload.kind,
+/// controller.kind, resilience.enabled, trace.enabled, topology.kind)
+/// changes which keys apply, so keys the base emitted that stop applying
+/// are dropped; a key an override names is always kept, so a typo'd or
+/// inapplicable override still throws. Used by sweep grid points,
+/// `dcm_run --set` and tournament overrides alike.
+Scenario apply_overrides(const Scenario& base, const Overrides& overrides);
+
 /// True if `Scenario::from_config` would accept [section] key under the
-/// workload/controller kinds declared in `config`. Sweep expansion uses
-/// this to drop base-emitted keys that stop applying after a kind override
-/// (throws if `config` declares an unknown kind).
+/// workload/controller kinds declared in `config` (throws if `config`
+/// declares an unknown kind).
 bool scenario_key_applies(const Config& config, const std::string& section,
                           const std::string& key);
 

@@ -63,20 +63,20 @@ struct SweepPlan {
 struct PlannedRun {
   size_t index = 0;
   Scenario scenario;
-  std::vector<std::pair<std::string, std::string>> overrides;  // "section.key" → value
+  Overrides overrides;
 };
 
 /// Cartesian expansion, last axis fastest (so axes read like nested loops).
 /// No axes ⇒ exactly the base as run 0. An axis with zero values is an
-/// error, not an empty grid. Overriding a kind key re-scopes the strict key
-/// check: base keys that stop applying under the new kind are dropped, but
-/// an override naming an inapplicable key still throws.
+/// error, not an empty grid. Each point is `apply_overrides(base, point)`,
+/// so a kind override drops base keys that stop applying, while an
+/// override naming an inapplicable key still throws.
 std::vector<PlannedRun> expand_grid(const SweepPlan& plan);
 
 struct SweepRun {
   size_t index = 0;
   Scenario scenario;
-  std::vector<std::pair<std::string, std::string>> overrides;
+  Overrides overrides;
   core::ExperimentResult result;
 };
 

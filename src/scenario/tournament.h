@@ -38,7 +38,7 @@ struct TournamentOptions {
   std::vector<std::string> controllers;
   /// "section.key" → value overrides applied to every base scenario (the
   /// CLI's --set), e.g. shortening run.duration for smoke tests.
-  std::vector<std::pair<std::string, std::string>> overrides;
+  Overrides overrides;
   /// Worker threads per scenario sweep; <= 0 = hardware concurrency.
   int jobs = 1;
 };

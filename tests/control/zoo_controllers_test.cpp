@@ -75,24 +75,29 @@ TEST(ControllerRegistryTest, NamesAreSortedAndComplete) {
 class RegistryConstructTest : public ZooTest {};
 
 TEST_F(RegistryConstructTest, EveryRegisteredNameConstructs) {
-  ControllerMenu menu;
-  menu.dcm.app_tier_model = core::tomcat_reference_model();
-  menu.dcm.db_tier_model = core::mysql_reference_model();
+  ControllerSpec spec;
+  spec.dcm.app_tier_model = core::tomcat_reference_model();
+  spec.dcm.db_tier_model = core::mysql_reference_model();
   for (const auto& name : controller_names()) {
-    auto controller = make_controller(name, engine_, app_, broker_, menu);
+    spec.name = name;
+    auto controller = make_controller(engine_, app_, broker_, spec);
     ASSERT_NE(controller, nullptr) << name;
   }
 }
 
 TEST_F(RegistryConstructTest, UnknownNameThrows) {
-  ControllerMenu menu;
-  EXPECT_THROW(make_controller("pid", engine_, app_, broker_, menu), std::invalid_argument);
+  ControllerSpec spec;
+  spec.name = "pid";
+  EXPECT_THROW(make_controller(engine_, app_, broker_, spec), std::invalid_argument);
+  EXPECT_THROW(make_controller(engine_, app_, broker_, ControllerSpec::none()),
+               std::invalid_argument);
 }
 
 TEST_F(RegistryConstructTest, MenuPolicyIsStampedIntoTheChosenFamily) {
-  ControllerMenu menu;
-  menu.policy.scale_in_consecutive = 7;
-  auto controller = make_controller("queueing", engine_, app_, broker_, menu);
+  ControllerSpec spec;
+  spec.name = "queueing";
+  spec.policy.scale_in_consecutive = 7;
+  auto controller = make_controller(engine_, app_, broker_, spec);
   EXPECT_EQ(controller->policy().scale_in_consecutive, 7);
 }
 

@@ -25,19 +25,23 @@ struct RunDigest {
   }
 };
 
-RunDigest run_digest(uint64_t seed, ControllerSpec::Kind controller_kind) {
+// The controller families under test (a plain enum keeps the parameter's
+// printed form stable).
+enum class Controlled { kNone, kEc2, kDcm };
+
+RunDigest run_digest(uint64_t seed, Controlled controller_kind) {
   ExperimentConfig config;
   config.hardware = {1, 1, 1};
   config.soft = {1000, 200, 80};
   config.workload = WorkloadSpec::trace_driven(workload::Trace::large_variation(seed), 3.0);
   switch (controller_kind) {
-    case ControllerSpec::Kind::kNone:
+    case Controlled::kNone:
       config.controller = ControllerSpec::none();
       break;
-    case ControllerSpec::Kind::kEc2AutoScale:
+    case Controlled::kEc2:
       config.controller = ControllerSpec::ec2();
       break;
-    case ControllerSpec::Kind::kDcm: {
+    case Controlled::kDcm: {
       control::DcmConfig dcm;
       dcm.app_tier_model = tomcat_reference_model();
       dcm.db_tier_model = mysql_reference_model();
@@ -63,7 +67,7 @@ RunDigest run_digest(uint64_t seed, ControllerSpec::Kind controller_kind) {
   return digest;
 }
 
-class DeterminismTest : public ::testing::TestWithParam<ControllerSpec::Kind> {};
+class DeterminismTest : public ::testing::TestWithParam<Controlled> {};
 
 TEST_P(DeterminismTest, SameSeedReplaysBitIdentically) {
   const RunDigest first = run_digest(42, GetParam());
@@ -78,16 +82,16 @@ TEST_P(DeterminismTest, DifferentSeedsDiverge) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Controllers, DeterminismTest,
-                         ::testing::Values(ControllerSpec::Kind::kNone,
-                                           ControllerSpec::Kind::kEc2AutoScale,
-                                           ControllerSpec::Kind::kDcm),
-                         [](const ::testing::TestParamInfo<ControllerSpec::Kind>& param_info) {
+                         ::testing::Values(Controlled::kNone,
+                                           Controlled::kEc2,
+                                           Controlled::kDcm),
+                         [](const ::testing::TestParamInfo<Controlled>& param_info) {
                            switch (param_info.param) {
-                             case ControllerSpec::Kind::kNone:
+                             case Controlled::kNone:
                                return std::string("uncontrolled");
-                             case ControllerSpec::Kind::kEc2AutoScale:
+                             case Controlled::kEc2:
                                return std::string("ec2");
-                             case ControllerSpec::Kind::kDcm:
+                             case Controlled::kDcm:
                                return std::string("dcm");
                            }
                            return std::string("unknown");

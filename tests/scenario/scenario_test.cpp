@@ -13,7 +13,7 @@ TEST(ScenarioTest, DefaultsMatchConfigLoaderDefaults) {
   EXPECT_EQ(experiment.hardware.app, 1);
   EXPECT_EQ(experiment.soft.db_connections, 80);
   EXPECT_EQ(experiment.workload.kind, core::WorkloadSpec::Kind::kRubbosClients);
-  EXPECT_EQ(experiment.controller.kind, core::ControllerSpec::Kind::kNone);
+  EXPECT_FALSE(experiment.controller.enabled());
   EXPECT_DOUBLE_EQ(experiment.duration_seconds, 300.0);
   EXPECT_EQ(experiment.seed, 1u);
 }
@@ -99,9 +99,99 @@ TEST(ScenarioTest, ExperimentTranslationGoesThroughConfigLoader) {
   EXPECT_EQ(experiment.hardware.app, 2);
   EXPECT_EQ(experiment.workload.kind, core::WorkloadSpec::Kind::kJmeter);
   EXPECT_EQ(experiment.workload.users, 64);
-  EXPECT_EQ(experiment.controller.kind, core::ControllerSpec::Kind::kEc2AutoScale);
+  EXPECT_EQ(experiment.controller.name, "ec2");
   EXPECT_DOUBLE_EQ(experiment.controller.policy.scale_out_util, 0.7);
   EXPECT_EQ(experiment.seed, 5u);
+}
+
+// Scenario::experiment() is the only translation into ExperimentConfig; these
+// pin its defaults, per-kind translation and failure modes.
+TEST(ScenarioExperimentTest, DefaultsWhenEmpty) {
+  const auto experiment = Scenario::parse("").experiment();
+  EXPECT_EQ(experiment.hardware.app, 1);
+  EXPECT_EQ(experiment.soft.db_connections, 80);
+  EXPECT_EQ(experiment.workload.kind, core::WorkloadSpec::Kind::kRubbosClients);
+  EXPECT_FALSE(experiment.controller.enabled());
+  EXPECT_DOUBLE_EQ(experiment.duration_seconds, 300.0);
+}
+
+TEST(ScenarioExperimentTest, FullExperimentTranslation) {
+  const auto experiment = Scenario::parse(
+                              "[hardware]\nweb=1\napp=2\ndb=2\n"
+                              "[soft]\napp_threads=20\ndb_connections=18\n"
+                              "[workload]\nkind=jmeter\nusers=64\n"
+                              "[controller]\nkind=ec2\nscale_out_util=0.7\npredictive=true\n"
+                              "sla_rt=0.8\n"
+                              "[run]\nduration=120\nwarmup=10\nmax_vms=6\n")
+                              .experiment();
+  EXPECT_EQ(experiment.hardware.app, 2);
+  EXPECT_EQ(experiment.soft.app_threads, 20);
+  EXPECT_EQ(experiment.workload.kind, core::WorkloadSpec::Kind::kJmeter);
+  EXPECT_EQ(experiment.workload.users, 64);
+  EXPECT_EQ(experiment.controller.name, "ec2");
+  EXPECT_DOUBLE_EQ(experiment.controller.policy.scale_out_util, 0.7);
+  EXPECT_TRUE(experiment.controller.policy.predictive);
+  EXPECT_DOUBLE_EQ(experiment.controller.policy.scale_out_response_time, 0.8);
+  EXPECT_EQ(experiment.max_vms_per_tier, 6);
+}
+
+TEST(ScenarioExperimentTest, TaxonomyTraceByName) {
+  const auto experiment =
+      Scenario::parse("[workload]\nkind=trace\ntrace=big-spike\npeak_users=200\n").experiment();
+  EXPECT_EQ(experiment.workload.kind, core::WorkloadSpec::Kind::kTrace);
+  EXPECT_GE(experiment.workload.trace.max_users(), 170);
+  EXPECT_LE(experiment.workload.trace.max_users(), 230);
+}
+
+TEST(ScenarioExperimentTest, DcmControllerGetsReferenceModels) {
+  const auto experiment = Scenario::parse("[controller]\nkind=dcm\nheadroom=1.5\n").experiment();
+  EXPECT_EQ(experiment.controller.name, "dcm");
+  EXPECT_DOUBLE_EQ(experiment.controller.dcm.stp_headroom, 1.5);
+  EXPECT_NEAR(experiment.controller.dcm.db_tier_model.optimal_concurrency(), 36.0, 1.0);
+}
+
+TEST(ScenarioExperimentTest, WorkloadSeedIsRejected) {
+  // The two-seed split ([run] seed + [workload] seed) was unified into a
+  // single root seed; the old key must fail loudly, not silently no-op.
+  EXPECT_THROW(Scenario::parse("[workload]\nkind=rubbos\nseed=9\n"), std::runtime_error);
+}
+
+TEST(ScenarioExperimentTest, DcmModelOverridesParsed) {
+  const auto experiment =
+      Scenario::parse("[controller]\nkind=dcm\napp_model = 2.84e-2, 1e-4, 7.09e-7\n")
+          .experiment();
+  EXPECT_DOUBLE_EQ(experiment.controller.dcm.app_tier_model.params.s0, 2.84e-2);
+  EXPECT_DOUBLE_EQ(experiment.controller.dcm.app_tier_model.params.alpha, 1e-4);
+  EXPECT_DOUBLE_EQ(experiment.controller.dcm.app_tier_model.params.beta, 7.09e-7);
+  // db model untouched → reference N_b ≈ 36.
+  EXPECT_NEAR(experiment.controller.dcm.db_tier_model.optimal_concurrency(), 36.0, 1.0);
+  EXPECT_THROW(Scenario::parse("[controller]\nkind=dcm\napp_model = 1,2\n"),
+               std::runtime_error);
+  EXPECT_THROW(Scenario::parse("[controller]\nkind=dcm\ndb_model = a,b,c\n"),
+               std::runtime_error);
+}
+
+TEST(ScenarioExperimentTest, UnknownKindsThrow) {
+  EXPECT_THROW(Scenario::parse("[workload]\nkind=weird\n"), std::runtime_error);
+  EXPECT_THROW(Scenario::parse("[controller]\nkind=weird\n"), std::runtime_error);
+  // A trace that is neither a taxonomy name nor a readable CSV parses (it is
+  // a path) but cannot be translated.
+  const Scenario missing = Scenario::parse("[workload]\nkind=trace\ntrace=/no/such/file.csv\n");
+  EXPECT_THROW(missing.experiment(), std::runtime_error);
+  // A programmatic kind outside the registry fails at translation too.
+  Scenario bogus;
+  bogus.controller.kind = "pid";
+  EXPECT_THROW(bogus.experiment(), std::runtime_error);
+}
+
+TEST(ScenarioExperimentTest, ConfigDrivenRunExecutes) {
+  const auto experiment = Scenario::parse(
+                              "[workload]\nkind=rubbos\nusers=50\n"
+                              "[run]\nduration=40\nwarmup=10\n")
+                              .experiment();
+  const auto result = core::run_experiment(experiment);
+  EXPECT_GT(result.completed, 100u);
+  EXPECT_EQ(result.errors, 0u);
 }
 
 TEST(ScenarioTest, KeyAppliesFollowsDeclaredKinds) {
@@ -232,7 +322,7 @@ TEST(RegistryTest, AllScenariosParseAndRoundTrip) {
 
 TEST(RegistryTest, ChaosResilienceScenarioArmsFaultsAndResilience) {
   const Scenario chaos = get_scenario("chaos-resilience");
-  EXPECT_EQ(chaos.controller.kind, ControllerDecl::Kind::kDcm);
+  EXPECT_EQ(chaos.controller.kind, "dcm");
   EXPECT_TRUE(chaos.controller.online_estimation);
   EXPECT_TRUE(chaos.resilience.enabled);
   const auto experiment = chaos.experiment();
@@ -270,11 +360,11 @@ TEST(RegistryTest, CanonicalScenariosMatchThePaperSetups) {
   EXPECT_EQ(fig5.workload.kind, WorkloadDecl::Kind::kTrace);
   EXPECT_EQ(fig5.workload.trace, "large-variation");
   EXPECT_EQ(fig5.soft.app_threads, 200);
-  EXPECT_EQ(fig5.controller.kind, ControllerDecl::Kind::kDcm);
+  EXPECT_EQ(fig5.controller.kind, "dcm");
   EXPECT_DOUBLE_EQ(fig5.duration_seconds, 700.0);
 
   const Scenario ec2 = get_scenario("fig5-ec2");
-  EXPECT_EQ(ec2.controller.kind, ControllerDecl::Kind::kEc2);
+  EXPECT_EQ(ec2.controller.kind, "ec2");
   // Paired comparison: identical deployment, workload and root seed.
   EXPECT_TRUE(ec2.hardware == fig5.hardware);
   EXPECT_TRUE(ec2.soft == fig5.soft);
@@ -366,9 +456,9 @@ TEST(ScenarioTest, PredictiveControllerVocabularyRoundTrips) {
       "[controller]\nkind=predictive\nalpha=0.6\nbeta=0.2\nhorizon=4\nhysteresis=0.05\n");
   const Scenario again = Scenario::parse(scenario.to_text());
   EXPECT_TRUE(scenario == again);
-  EXPECT_EQ(again.controller.kind, ControllerDecl::Kind::kPredictive);
+  EXPECT_EQ(again.controller.kind, "predictive");
   const auto experiment = scenario.experiment();
-  EXPECT_EQ(experiment.controller.kind, core::ControllerSpec::Kind::kPredictive);
+  EXPECT_EQ(experiment.controller.name, "predictive");
   EXPECT_DOUBLE_EQ(experiment.controller.predictive.level_alpha, 0.6);
   EXPECT_DOUBLE_EQ(experiment.controller.predictive.trend_beta, 0.2);
   EXPECT_EQ(experiment.controller.predictive.horizon_periods, 4);
@@ -384,7 +474,7 @@ TEST(ScenarioTest, QueueingAndPiControllerVocabularyRoundTrips) {
       "[controller]\nkind=pi\ntarget_util=0.65\nkp=3\nki=0.25\ndeadband=0.4\n");
   EXPECT_TRUE(pi == Scenario::parse(pi.to_text()));
   const auto experiment = pi.experiment();
-  EXPECT_EQ(experiment.controller.kind, core::ControllerSpec::Kind::kPi);
+  EXPECT_EQ(experiment.controller.name, "pi");
   EXPECT_DOUBLE_EQ(experiment.controller.pi.target_util, 0.65);
   EXPECT_DOUBLE_EQ(experiment.controller.pi.kp, 3.0);
   EXPECT_DOUBLE_EQ(experiment.controller.pi.ki, 0.25);

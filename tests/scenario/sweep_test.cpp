@@ -115,10 +115,10 @@ TEST(ExpandGridTest, KindOverrideRescopesKeys) {
   plan.axes.push_back(parse_axis("controller.kind=dcm,ec2,none"));
   const auto runs = expand_grid(plan);
   ASSERT_EQ(runs.size(), 3u);
-  EXPECT_EQ(runs[0].scenario.controller.kind, ControllerDecl::Kind::kDcm);
+  EXPECT_EQ(runs[0].scenario.controller.kind, "dcm");
   EXPECT_DOUBLE_EQ(runs[0].scenario.controller.headroom, 1.5);
-  EXPECT_EQ(runs[1].scenario.controller.kind, ControllerDecl::Kind::kEc2);
-  EXPECT_EQ(runs[2].scenario.controller.kind, ControllerDecl::Kind::kNone);
+  EXPECT_EQ(runs[1].scenario.controller.kind, "ec2");
+  EXPECT_EQ(runs[2].scenario.controller.kind, "none");
 }
 
 TEST(ExpandGridTest, TypoOverrideStillThrows) {
@@ -126,6 +126,54 @@ TEST(ExpandGridTest, TypoOverrideStillThrows) {
   plan.base = small_base();
   plan.axes.push_back(parse_axis("workload.usres=40,60"));
   EXPECT_THROW(expand_grid(plan), std::runtime_error);
+}
+
+// apply_overrides is the one override path behind sweep points, `dcm_run
+// --set` and tournament overrides.
+TEST(ApplyOverridesTest, KindChangeDropsKeysOfTheOldKind) {
+  const Scenario base = Scenario::parse(
+      "[controller]\nkind=dcm\nheadroom=1.5\nonline_estimation=true\n"
+      "[resilience]\nenabled=true\nwatchdog_periods=3\n");
+  const Scenario pi = apply_overrides(base, {{"controller.kind", "pi"}, {"controller.kp", "3"}});
+  EXPECT_EQ(pi.controller.kind, "pi");
+  EXPECT_DOUBLE_EQ(pi.controller.pi.kp, 3.0);
+  // The pi family's other knobs keep their control-layer defaults.
+  EXPECT_DOUBLE_EQ(pi.controller.pi.ki, control::PiConfig{}.ki);
+  // dcm-only keys (headroom, the watchdog) were dropped, not rejected.
+  EXPECT_EQ(pi.to_text().find("headroom"), std::string::npos);
+  EXPECT_EQ(pi.to_text().find("watchdog_periods"), std::string::npos);
+  EXPECT_TRUE(pi.resilience.enabled);
+}
+
+TEST(ApplyOverridesTest, DisablingAGateDropsItsDetailKeys) {
+  const Scenario base = Scenario::parse(
+      "[resilience]\nenabled=true\nclient_backoff=0.5\n"
+      "[trace]\nenabled=true\nrate=0.25\n");
+  const Scenario off = apply_overrides(base, {{"resilience.enabled", "false"},
+                                              {"trace.enabled", "false"}});
+  EXPECT_FALSE(off.resilience.enabled);
+  EXPECT_FALSE(off.trace.enabled);
+  EXPECT_TRUE(off == Scenario::parse(off.to_text()));
+  EXPECT_EQ(off.to_text().find("client_backoff"), std::string::npos);
+  EXPECT_EQ(off.to_text().find("[trace]"), std::string::npos);
+}
+
+TEST(ApplyOverridesTest, LaterOverrideOfTheSameKeyWins) {
+  const Scenario base = small_base();
+  const Scenario out =
+      apply_overrides(base, {{"workload.users", "60"}, {"workload.users", "70"}});
+  EXPECT_EQ(out.workload.users, 70);
+  EXPECT_TRUE(apply_overrides(base, {}) == base);
+}
+
+TEST(ApplyOverridesTest, TypoOrInapplicableOverrideStillThrows) {
+  const Scenario base = small_base();
+  EXPECT_THROW(apply_overrides(base, {{"workload.usres", "40"}}), std::runtime_error);
+  // A real key that does not apply to the declared kind is still an error.
+  EXPECT_THROW(apply_overrides(base, {{"controller.headroom", "2"}}), std::runtime_error);
+  EXPECT_THROW(apply_overrides(base, {{"controller.kind", "pi"}, {"controller.alpha", "0.5"}}),
+               std::runtime_error);
+  EXPECT_THROW(apply_overrides(base, {{"nodot", "1"}}), std::runtime_error);
 }
 
 }  // namespace

@@ -45,4 +45,29 @@ if(NOT tournament_out MATCHES "^scorecard_digest [0-9]+$")
   message(FATAL_ERROR "tournament --digest must be labelled scorecard_digest, got: ${tournament_out}")
 endif()
 
+# Overrides that flip a kind or a gate drop the base keys that stop
+# applying (one override path for run, sweep and tournament). Tracing is
+# digest-neutral, so the untraced diamond run still prints its registry pin.
+execute_process(
+  COMMAND ${DCM_RUN} run diamond-cache --set trace.enabled=false --digest --quiet
+  OUTPUT_VARIABLE untraced_out
+  RESULT_VARIABLE untraced_rc
+  OUTPUT_STRIP_TRAILING_WHITESPACE)
+if(NOT untraced_rc EQUAL 0)
+  message(FATAL_ERROR "dcm_run run diamond-cache --set trace.enabled=false failed (rc=${untraced_rc})")
+endif()
+if(NOT untraced_out STREQUAL "result_digest 3232967541302041960")
+  message(FATAL_ERROR "untraced diamond-cache must print the pinned digest, got: ${untraced_out}")
+endif()
+
+execute_process(
+  COMMAND ${DCM_RUN} tournament chaos-resilience --controllers ec2
+          --set resilience.enabled=false --set run.duration=60 --digest --quiet
+  OUTPUT_QUIET
+  ERROR_QUIET
+  RESULT_VARIABLE unarmed_rc)
+if(NOT unarmed_rc EQUAL 0)
+  message(FATAL_ERROR "tournament --set resilience.enabled=false failed (rc=${unarmed_rc})")
+endif()
+
 message(STATUS "dcm_run digest labels OK")

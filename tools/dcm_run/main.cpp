@@ -97,14 +97,25 @@ int usage(const char* argv0) {
   return 2;
 }
 
-// A registry name, or a path to an INI file (anything with a '.' or '/' is
-// treated as a path so `dcm_run run my/exp.ini` needs no flag).
-scenario::Scenario load_target(const std::string& target) {
-  if (scenario::has_scenario(target)) return scenario::get_scenario(target);
-  if (target.find('/') != std::string::npos || target.find('.') != std::string::npos) {
-    return scenario::Scenario::load(target);
+// The --trace/--trace-rate switches and every --set, as one override list
+// in application order (so an explicit --set trace.* still wins).
+scenario::Overrides collect_overrides(const Options& opts) {
+  scenario::Overrides overrides;
+  if (opts.trace) {
+    overrides.emplace_back("trace.enabled", "true");
+    if (opts.trace_rate >= 0.0) {
+      overrides.emplace_back("trace.rate", str_format("%.17g", opts.trace_rate));
+    }
   }
-  return scenario::get_scenario(target);  // throws with the known-name list
+  for (const auto& set : opts.sets) {
+    // --set is a single-value axis applied to the base, not a dimension.
+    const scenario::SweepAxis axis = scenario::parse_axis(set);
+    if (axis.values.size() != 1) {
+      throw std::runtime_error("--set " + set + " must have exactly one value");
+    }
+    overrides.emplace_back(axis.section + "." + axis.key, axis.values[0]);
+  }
+  return overrides;
 }
 
 int cmd_list() {
@@ -121,7 +132,7 @@ int cmd_show(const std::string& target) {
     std::fputs(scenario::scenario_text(target).c_str(), stdout);
   } else {
     // For a file: parse (strict) and print the canonical emission.
-    std::fputs(load_target(target).to_text().c_str(), stdout);
+    std::fputs(scenario::resolve_scenario(target).to_text().c_str(), stdout);
   }
   return 0;
 }
@@ -206,13 +217,7 @@ int cmd_tournament(const Options& opts) {
   if (!opts.targets.empty()) tournament_opts.scenarios = opts.targets;
   tournament_opts.controllers = opts.controllers;
   tournament_opts.jobs = opts.jobs;
-  for (const auto& set : opts.sets) {
-    const scenario::SweepAxis axis = scenario::parse_axis(set);
-    if (axis.values.size() != 1) {
-      throw std::runtime_error("--set " + set + " must have exactly one value");
-    }
-    tournament_opts.overrides.emplace_back(axis.section + "." + axis.key, axis.values[0]);
-  }
+  tournament_opts.overrides = collect_overrides(opts);
 
   const scenario::Tournament tournament = scenario::run_tournament(tournament_opts);
 
@@ -244,31 +249,13 @@ int cmd_tournament(const Options& opts) {
 
 int cmd_run_or_sweep(const Options& opts) {
   scenario::SweepPlan plan;
-  plan.base = load_target(opts.target);
+  plan.base =
+      scenario::apply_overrides(scenario::resolve_scenario(opts.target), collect_overrides(opts));
   plan.seed_policy = opts.seed_policy;
   // A single run IS the canonical run: it must keep the scenario's root seed
   // (derive-per-run seeding would silently swap in derive_seed(root, 0) and
   // print a digest nothing in the registry pins).
   if (opts.command == "run") plan.seed_policy = scenario::SeedPolicy::kFixed;
-  if (opts.trace) {
-    // Applied before --set so an explicit --set trace.* still wins.
-    Config config = plan.base.to_config();
-    config.set("trace", "enabled", "true");
-    if (opts.trace_rate >= 0.0) {
-      config.set("trace", "rate", str_format("%.17g", opts.trace_rate));
-    }
-    plan.base = scenario::Scenario::from_config(config);
-  }
-  for (const auto& set : opts.sets) {
-    // --set is a single-value axis applied to the base, not a dimension.
-    const scenario::SweepAxis axis = scenario::parse_axis(set);
-    if (axis.values.size() != 1) {
-      throw std::runtime_error("--set " + set + " must have exactly one value");
-    }
-    Config config = plan.base.to_config();
-    config.set(axis.section, axis.key, axis.values[0]);
-    plan.base = scenario::Scenario::from_config(config);
-  }
   for (const auto& axis : opts.axes) plan.axes.push_back(scenario::parse_axis(axis));
 
   scenario::SweepRunner runner(std::move(plan), opts.jobs);
