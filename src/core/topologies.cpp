@@ -184,9 +184,8 @@ ntier::ServiceGraph build_service_graph(const TopologySpec& spec, HardwareConfig
     std::vector<ntier::ServiceEdge> edges;
     edges.push_back({/*from=*/0, /*to=*/1, /*fixed_calls=*/1, /*servlet_calls=*/false,
                      /*mean_calls=*/1.0, /*pool_capacity=*/0, /*managed=*/false});
-    // The app→db edge is throttled by the tier template's DBConnP (the
-    // pool lives in the TierConfig for single-edge nodes); the managed flag
-    // records it as the DCM-actuated soft resource.
+    // The app→db edge carries the app tier's DBConnP, the DCM-actuated
+    // soft resource.
     edges.push_back({/*from=*/1, /*to=*/2, /*fixed_calls=*/0, /*servlet_calls=*/true,
                      /*mean_calls=*/kDbVisitRatio, /*pool_capacity=*/soft.db_connections,
                      /*managed=*/true});
@@ -244,16 +243,6 @@ ntier::ServiceGraph build_service_graph(const TopologySpec& spec, HardwareConfig
     edge.pool_capacity = e.managed ? soft.db_connections : 0;
     edge.managed = e.managed;
     edges.push_back(edge);
-  }
-  // Single-edge nodes route their pool through the tier template (the
-  // legacy DBConnP mechanism); only fan-out nodes carry per-edge pools.
-  std::vector<int> out_count(nodes.size(), 0);
-  for (const auto& e : edges) ++out_count[static_cast<size_t>(e.from)];
-  for (const auto& e : edges) {
-    if (e.pool_capacity > 0 && out_count[static_cast<size_t>(e.from)] == 1) {
-      nodes[static_cast<size_t>(e.from)].tier.server.downstream_connections =
-          e.pool_capacity;
-    }
   }
   return ntier::ServiceGraph(std::move(nodes), std::move(edges));
 }

@@ -27,21 +27,13 @@ NTierApp::NTierApp(sim::Engine& engine, ServiceGraph graph, uint64_t seed)
                                             static_cast<int>(node), rng_));
   }
   for (size_t node = 0; node < graph_->node_count(); ++node) {
-    const std::vector<int>& out = graph_->out_edges(node);
-    if (out.empty()) continue;  // leaf
-    if (out.size() == 1) {
-      const ServiceEdge& e = graph_->edge(static_cast<size_t>(out[0]));
-      tiers_[node]->set_downstream_edge(tiers_[static_cast<size_t>(e.to)].get(), out[0]);
-      continue;
-    }
-    std::vector<ServerFanoutEdge> specs;
-    specs.reserve(out.size());
-    for (int edge_id : out) {
+    std::vector<OutEdge> edges;
+    for (int edge_id : graph_->out_edges(node)) {
       const ServiceEdge& e = graph_->edge(static_cast<size_t>(edge_id));
-      specs.push_back(ServerFanoutEdge{tiers_[static_cast<size_t>(e.to)].get(), edge_id,
-                                       e.pool_capacity, e.managed});
+      edges.push_back(
+          OutEdge{tiers_[static_cast<size_t>(e.to)].get(), edge_id, e.pool_capacity, e.managed});
     }
-    tiers_[node]->set_fanout_edges(specs);
+    tiers_[node]->set_out_edges(std::move(edges));
   }
 }
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <string>
 #include <utility>
 
 #include "common/check.h"
@@ -16,8 +15,7 @@ Server::Server(sim::Engine& engine, ServerConfig config, int depth, Rng rng)
       depth_(depth),
       rng_(rng),
       workers_(engine, config_.name, ".workers", config_.max_threads),
-      cpu_(engine, config_.cpu),
-      primary_edge_id_(depth) {
+      cpu_(engine, config_.cpu) {
   DCM_CHECK(depth_ >= 0);
   DCM_CHECK(config_.pre_fraction >= 0.0 && config_.pre_fraction <= 1.0);
   if (config_.demand_cv > 0.0) {
@@ -27,35 +25,28 @@ Server::Server(sim::Engine& engine, ServerConfig config, int depth, Rng rng)
     demand_ln_mu_ = -0.5 * sigma2;  // log(mean)=log(1)=0 exactly
     demand_ln_sigma_ = std::sqrt(sigma2);
   }
-  if (config_.downstream_connections > 0) {
-    conns_ = std::make_unique<SlotPool>(engine, config_.name, ".conns",
-                                        config_.downstream_connections);
-  }
 }
 
-void Server::set_fanout_edges(const std::vector<ServerFanoutEdge>& edges) {
-  DCM_CHECK_MSG(downstream_ == nullptr, "fan-out is mutually exclusive with set_downstream");
-  DCM_CHECK_MSG(fanout_.empty(), "fan-out edges already installed");
-  DCM_CHECK_MSG(edges.size() >= 2 && edges.size() <= kMaxFanOut,
-                "fan-out needs 2..kMaxFanOut edges");
-  fanout_.reserve(edges.size());
+void Server::set_out_edges(const std::vector<OutEdge>& edges) {
+  DCM_CHECK_MSG(edges.size() <= kMaxFanOut, "a server has at most kMaxFanOut out-edges");
+  out_edges_.clear();
+  managed_pool_ = nullptr;
+  out_edges_.reserve(edges.size());
   for (const auto& spec : edges) {
     DCM_CHECK(spec.target != nullptr);
     DCM_CHECK(spec.edge_id >= 0);
-    FanoutEdge e;
+    Edge e;
     e.target = spec.target;
     e.edge_id = spec.edge_id;
     if (spec.pool_capacity > 0) {
-      e.pool = std::make_unique<SlotPool>(
-          *engine_, config_.name + ".edge" + std::to_string(spec.edge_id),
-          spec.pool_capacity);
+      e.pool = std::make_unique<SlotPool>(*engine_, config_.name, ".conns", spec.pool_capacity);
     }
     if (spec.managed) {
-      DCM_CHECK_MSG(e.pool != nullptr, "managed fan-out edge needs a connection pool");
-      DCM_CHECK_MSG(managed_pool_ == nullptr, "at most one managed fan-out edge");
+      DCM_CHECK_MSG(e.pool != nullptr, "managed edge needs a connection pool");
+      DCM_CHECK_MSG(managed_pool_ == nullptr, "at most one managed edge");
       managed_pool_ = e.pool.get();
     }
-    fanout_.push_back(std::move(e));
+    out_edges_.push_back(std::move(e));
   }
 }
 
@@ -135,9 +126,6 @@ void Server::process(const RequestPtr& request, DoneFn done) {
   v.done = std::move(done);
   v.arrived = engine_->now();
   v.demand = 0.0;
-  v.calls = 0;
-  v.call_index = 0;
-  v.conn_held = false;
   v.holds_worker = false;
   v.branches.clear();
   v.branches_pending = 0;
@@ -187,38 +175,18 @@ void Server::start_visit(VisitHandle h) {
       config_.demand_cv > 0.0 ? rng_.lognormal(demand_ln_mu_, demand_ln_sigma_) : 1.0;
   v->demand = config_.cpu.params.s0 * scale * variability;
 
-  const int busy_workers = workers_.in_use();
-  if (!fanout_.empty()) {
-    // Fan-out node: read each out-edge's calls from the request's per-edge
-    // plan. All-zero degenerates to the CPU-only shape.
-    int total_calls = 0;
-    for (const auto& e : fanout_) {
-      const int calls =
-          req.downstream_calls.size() > static_cast<size_t>(e.edge_id)
-              ? req.downstream_calls[static_cast<size_t>(e.edge_id)]
-              : 0;
-      v->branches.push_back(BranchScratch{calls, 0, false, 0, 0});
-      total_calls += calls;
-    }
-    if (total_calls == 0) {
-      begin_cpu_span(*v, v->demand);
-      cpu_.submit_with_thread_count(busy_workers, v->demand,
-                                    [this, h] { on_cpu_done_finish(h); });
-      return;
-    }
-    const double pre = v->demand * config_.pre_fraction;
-    begin_cpu_span(*v, pre);
-    cpu_.submit_with_thread_count(busy_workers, pre, [this, h] { on_cpu_done_fanout(h); });
-    return;
+  // One branch per out-edge, its calls read from the request's per-edge
+  // plan. No calls at all (a leaf, or an all-zero plan) is the CPU-only shape.
+  int total_calls = 0;
+  for (const auto& e : out_edges_) {
+    const int calls = req.downstream_calls.size() > static_cast<size_t>(e.edge_id)
+                          ? req.downstream_calls[static_cast<size_t>(e.edge_id)]
+                          : 0;
+    v->branches.push_back(BranchScratch{calls, 0, 0});
+    total_calls += calls;
   }
-
-  // Single-edge node. The edge id defaults to the tier depth, so a chain
-  // reads exactly the index the legacy per-tier hop list populated.
-  v->calls = (downstream_ != nullptr &&
-              req.downstream_calls.size() > static_cast<size_t>(primary_edge_id_))
-                 ? req.downstream_calls[static_cast<size_t>(primary_edge_id_)]
-                 : 0;
-  if (v->calls == 0) {
+  const int busy_workers = workers_.in_use();
+  if (total_calls == 0) {
     begin_cpu_span(*v, v->demand);
     cpu_.submit_with_thread_count(busy_workers, v->demand, [this, h] { on_cpu_done_finish(h); });
     return;
@@ -235,48 +203,13 @@ void Server::on_cpu_done_finish(VisitHandle h) {
   finish_visit(h, true);
 }
 
-void Server::on_cpu_done_downstream(VisitHandle h) {
-  VisitState* v = visit(h);
-  if (v == nullptr) return;
-  end_cpu_span(*v);
-  v->call_index = 0;
-  issue_downstream(h);
-}
-
-void Server::issue_downstream(VisitHandle h) {
-  VisitState* v = visit(h);
-  if (v->call_index >= v->calls) {
-    const double post = v->demand * (1.0 - config_.pre_fraction);
-    begin_cpu_span(*v, post);
-    cpu_.submit(post, [this, h] { on_cpu_done_finish(h); });
-    return;
-  }
-  if (v->request->trace != nullptr) v->conn_requested = engine_->now();
-  if (retry_.enabled()) {
-    if (conns_) {
-      conns_->acquire([this, h] { on_conn_granted_retry(h); });
-    } else {
-      dispatch_downstream(h, /*attempt=*/0, /*conn_held=*/false);
-    }
-    return;
-  }
-  // Legacy single-attempt path — event-for-event the pre-resilience
-  // behaviour for the default configuration.
-  if (conns_) {
-    conns_->acquire([this, h] { on_conn_granted_legacy(h); });
-  } else {
-    forward_legacy(h, /*conn_held=*/false);
-  }
-}
-
-// --- fan-out branches -------------------------------------------------------
+// --- downstream calls ------------------------------------------------------
 //
-// Branch continuations capture [this, h, branch] (20 bytes) and therefore
-// heap-allocate through std::function; only fan-out topologies pay this.
-// Branches are single-attempt — the retry policy applies to single-edge
-// servers only (see set_fanout_edges).
+// Every sub-request is an attempt in the attempt slab: the dispatch
+// continuation captures [this, AttemptHandle] (16 bytes), so it stays inside
+// std::function's inline buffer on every topology.
 
-void Server::on_cpu_done_fanout(VisitHandle h) {
+void Server::on_cpu_done_downstream(VisitHandle h) {
   VisitState* v = visit(h);
   if (v == nullptr) return;
   end_cpu_span(*v);
@@ -288,75 +221,133 @@ void Server::on_cpu_done_fanout(VisitHandle h) {
   // Count first, then issue: a branch that settles synchronously (downstream
   // rejects) decrements the full count and can never fire the join before
   // the remaining branches have been issued.
-  const size_t branch_count = fanout_.size();
+  const size_t branch_count = out_edges_.size();
   for (size_t i = 0; i < branch_count; ++i) {
     VisitState* vv = visit(h);
     if (vv == nullptr) return;
-    if (vv->branches[i].calls > 0) start_branch_call(h, static_cast<int>(i));
+    if (vv->branches[i].calls > 0) start_call(h, static_cast<int>(i));
   }
 }
 
-void Server::start_branch_call(VisitHandle h, int branch) {
+void Server::start_call(VisitHandle h, int branch) {
   VisitState* v = visit(h);
-  if (v == nullptr) return;
-  BranchScratch& b = v->branches[static_cast<size_t>(branch)];
-  FanoutEdge& e = fanout_[static_cast<size_t>(branch)];
-  if (v->request->trace != nullptr) b.conn_requested = engine_->now();
+  Edge& e = out_edges_[static_cast<size_t>(branch)];
+  if (v->request->trace != nullptr) {
+    v->branches[static_cast<size_t>(branch)].conn_requested = engine_->now();
+  }
   if (e.pool) {
-    e.pool->acquire([this, h, branch] { on_branch_conn(h, branch); });
+    e.pool->acquire([this, h, branch] { on_conn_granted(h, branch); });
   } else {
-    forward_branch(h, branch, /*conn_held=*/false);
+    dispatch_attempt(h, branch, /*attempt=*/0, /*conn_held=*/false);
   }
 }
 
-void Server::on_branch_conn(VisitHandle h, int branch) {
+void Server::on_conn_granted(VisitHandle h, int branch) {
   VisitState* v = visit(h);
   if (v == nullptr) return;  // crashed while queued on the edge pool
-  const BranchScratch& b = v->branches[static_cast<size_t>(branch)];
   if (trace::TraceContext* tr = v->request->trace.get()) {
     tr->add_edge_span(trace::SpanKind::kConnWait, depth_,
-                      fanout_[static_cast<size_t>(branch)].edge_id, b.conn_requested,
+                      out_edges_[static_cast<size_t>(branch)].edge_id,
+                      v->branches[static_cast<size_t>(branch)].conn_requested,
                       engine_->now());
   }
-  forward_branch(h, branch, /*conn_held=*/true);
+  dispatch_attempt(h, branch, /*attempt=*/0, /*conn_held=*/true);
 }
 
-void Server::forward_branch(VisitHandle h, int branch, bool conn_held) {
+void Server::dispatch_attempt(VisitHandle h, int branch, int attempt_no, bool conn_held) {
   VisitState* v = visit(h);
-  BranchScratch& b = v->branches[static_cast<size_t>(branch)];
-  b.conn_held = conn_held;
-  if (v->request->trace != nullptr) b.started = engine_->now();
-  fanout_[static_cast<size_t>(branch)].target->dispatch(
-      v->request, [this, h, branch](bool ok) { on_branch_response(h, branch, ok); });
+  const AttemptHandle ah = alloc_attempt();
+  AttemptState& a = attempt_slab_[ah.index].state;
+  a.visit = h;
+  a.branch = branch;
+  a.attempt = attempt_no;
+  a.conn_held = conn_held;
+  a.timeout = sim::EventHandle();
+  if (v->request->trace != nullptr) a.started = engine_->now();
+  out_edges_[static_cast<size_t>(branch)].target->dispatch(
+      v->request, [this, ah](bool ok) { on_attempt_response(ah, ok); });
+  // The dispatch can settle synchronously (downstream rejects) and even grow
+  // the attempt slab via re-entry — refetch before arming the deadline.
+  AttemptState* armed = attempt(ah);
+  if (retry_.timeout_seconds > 0.0 && armed != nullptr) {
+    armed->timeout = engine_->schedule_after(sim::from_seconds(retry_.timeout_seconds),
+                                             [this, ah] { on_attempt_timeout(ah); });
+  }
 }
 
-void Server::on_branch_response(VisitHandle h, int branch, bool ok) {
-  VisitState* v = visit(h);
-  if (v == nullptr) return;  // crashed while the branch call was in flight
-  FanoutEdge& e = fanout_[static_cast<size_t>(branch)];
-  BranchScratch* b = &v->branches[static_cast<size_t>(branch)];
+void Server::on_attempt_response(AttemptHandle ah, bool ok) {
+  AttemptState* live = attempt(ah);
+  if (live == nullptr) return;  // deadline already expired; drop late response
+  live->timeout.cancel();
+  const AttemptState a = *live;
+  free_attempt(ah);
+  VisitState* v = visit(a.visit);
+  if (v == nullptr) return;  // server crashed while the call was in flight
   if (trace::TraceContext* tr = v->request->trace.get()) {
-    tr->add_edge_span(trace::SpanKind::kDownstream, depth_, e.edge_id, b->started,
+    tr->add_edge_span(trace::SpanKind::kDownstream, depth_,
+                      out_edges_[static_cast<size_t>(a.branch)].edge_id, a.started,
                       engine_->now());
   }
-  if (b->conn_held) {
-    b->conn_held = false;
-    e.pool->release();
-    // release cannot free this slot, but it can admit other branch traffic
-    // on this server — refetch for safety.
-    v = visit(h);
-    b = &v->branches[static_cast<size_t>(branch)];
+  on_subrequest_result(a, ok);
+}
+
+void Server::on_attempt_timeout(AttemptHandle ah) {
+  AttemptState* live = attempt(ah);
+  if (live == nullptr) return;  // response won the race
+  const AttemptState a = *live;
+  free_attempt(ah);  // the late response will find a stale handle
+  VisitState* v = visit(a.visit);
+  if (v == nullptr) return;
+  ++subrequest_timeouts_;
+  if (trace::TraceContext* tr = v->request->trace.get()) {
+    tr->add_edge_span(trace::SpanKind::kTimeoutWait, depth_,
+                      out_edges_[static_cast<size_t>(a.branch)].edge_id, a.started,
+                      engine_->now());
   }
-  if (!ok) {
-    settle_branch(h, /*ok=*/false);
+  on_subrequest_result(a, false);
+}
+
+void Server::on_subrequest_result(const AttemptState& settled, bool ok) {
+  const VisitHandle h = settled.visit;
+  const int branch = settled.branch;
+  SlotPool* pool = out_edges_[static_cast<size_t>(branch)].pool.get();
+  if (ok) {
+    if (settled.conn_held) pool->release();
+    // release() cannot free this visit (only its own continuations finish
+    // it), but it can admit other traffic — refetch for safety.
+    BranchScratch& b = visit(h)->branches[static_cast<size_t>(branch)];
+    if (++b.index < b.calls) {
+      start_call(h, branch);
+      return;
+    }
+    settle_branch(h, /*ok=*/true);
     return;
   }
-  b->index += 1;
-  if (b->index < b->calls) {
-    start_branch_call(h, branch);
+  const int attempt_no = settled.attempt;
+  if (attempt_no < retry_.max_retries) {
+    ++subrequest_retries_;
+    // Exponential backoff with deterministic jitter; the connection stays
+    // held across attempts (a blocked app thread keeps its pool slot).
+    const double base =
+        retry_.backoff_base_seconds * std::pow(retry_.backoff_multiplier, attempt_no);
+    const double jitter =
+        retry_.jitter_fraction > 0.0
+            ? 1.0 + retry_.jitter_fraction * (2.0 * rng_.next_double() - 1.0)
+            : 1.0;
+    const double delay = std::max(0.0, base * jitter);
+    if (trace::TraceContext* tr = visit(h)->request->trace.get()) {
+      tr->add_span(trace::SpanKind::kBackoff, depth_, engine_->now(),
+                   engine_->now() + sim::from_seconds(delay));
+    }
+    const bool conn_held = settled.conn_held;
+    engine_->schedule_after(sim::from_seconds(delay), [this, h, branch, attempt_no, conn_held] {
+      if (visit(h) == nullptr) return;
+      dispatch_attempt(h, branch, attempt_no + 1, conn_held);
+    });
     return;
   }
-  settle_branch(h, /*ok=*/true);
+  if (settled.conn_held) pool->release();
+  settle_branch(h, /*ok=*/false);
 }
 
 void Server::settle_branch(VisitHandle h, bool ok) {
@@ -374,140 +365,6 @@ void Server::settle_branch(VisitHandle h, bool ok) {
   const double post = v->demand * (1.0 - config_.pre_fraction);
   begin_cpu_span(*v, post);
   cpu_.submit(post, [this, h] { on_cpu_done_finish(h); });
-}
-
-void Server::on_conn_granted_legacy(VisitHandle h) {
-  VisitState* v = visit(h);
-  if (v == nullptr) return;  // crashed while waiting for a connection
-  if (trace::TraceContext* tr = v->request->trace.get()) {
-    tr->add_edge_span(trace::SpanKind::kConnWait, depth_, primary_edge_id_,
-                      v->conn_requested, engine_->now());
-  }
-  forward_legacy(h, /*conn_held=*/true);
-}
-
-void Server::forward_legacy(VisitHandle h, bool conn_held) {
-  VisitState* v = visit(h);
-  v->conn_held = conn_held;
-  if (v->request->trace != nullptr) v->downstream_started = engine_->now();
-  downstream_->dispatch(v->request, [this, h](bool ok) { on_legacy_response(h, ok); });
-}
-
-void Server::on_legacy_response(VisitHandle h, bool ok) {
-  // The downstream response may arrive after this server crashed; the visit
-  // (and its pool slots) are already gone — drop it.
-  VisitState* v = visit(h);
-  if (v == nullptr) return;
-  if (trace::TraceContext* tr = v->request->trace.get()) {
-    tr->add_edge_span(trace::SpanKind::kDownstream, depth_, primary_edge_id_,
-                      v->downstream_started, engine_->now());
-  }
-  if (v->conn_held) conns_->release();
-  if (!ok) {
-    finish_visit(h, false);
-    return;
-  }
-  // release() cannot touch this slot (only this visit's own continuations
-  // finish it), but it can admit other traffic — refetch for safety.
-  v = visit(h);
-  v->call_index += 1;
-  issue_downstream(h);
-}
-
-void Server::on_conn_granted_retry(VisitHandle h) {
-  VisitState* v = visit(h);
-  if (v == nullptr) return;
-  if (trace::TraceContext* tr = v->request->trace.get()) {
-    tr->add_edge_span(trace::SpanKind::kConnWait, depth_, primary_edge_id_,
-                      v->conn_requested, engine_->now());
-  }
-  dispatch_downstream(h, /*attempt=*/0, /*conn_held=*/true);
-}
-
-void Server::dispatch_downstream(VisitHandle h, int attempt_no, bool conn_held) {
-  VisitState* v = visit(h);
-  const AttemptHandle ah = alloc_attempt();
-  AttemptState& a = attempt_slab_[ah.index].state;
-  a.visit = h;
-  a.attempt = attempt_no;
-  a.conn_held = conn_held;
-  a.timeout = sim::EventHandle();
-  if (v->request->trace != nullptr) v->downstream_started = engine_->now();
-  downstream_->dispatch(v->request, [this, ah](bool ok) { on_attempt_response(ah, ok); });
-  // The dispatch can settle synchronously (downstream rejects) and even grow
-  // the attempt slab via re-entry — refetch before arming the deadline.
-  AttemptState* armed = attempt(ah);
-  if (retry_.timeout_seconds > 0.0 && armed != nullptr) {
-    armed->timeout = engine_->schedule_after(sim::from_seconds(retry_.timeout_seconds),
-                                             [this, ah] { on_attempt_timeout(ah); });
-  }
-}
-
-void Server::on_attempt_response(AttemptHandle ah, bool ok) {
-  AttemptState* a = attempt(ah);
-  if (a == nullptr) return;  // deadline already expired; drop late response
-  const VisitHandle h = a->visit;
-  const int attempt_no = a->attempt;
-  const bool conn_held = a->conn_held;
-  a->timeout.cancel();
-  free_attempt(ah);
-  VisitState* v = visit(h);
-  if (v == nullptr) return;  // server crashed while the call was in flight
-  if (trace::TraceContext* tr = v->request->trace.get()) {
-    tr->add_edge_span(trace::SpanKind::kDownstream, depth_, primary_edge_id_,
-                      v->downstream_started, engine_->now());
-  }
-  on_subrequest_result(h, attempt_no, conn_held, ok);
-}
-
-void Server::on_attempt_timeout(AttemptHandle ah) {
-  AttemptState* a = attempt(ah);
-  if (a == nullptr) return;  // response won the race
-  const VisitHandle h = a->visit;
-  const int attempt_no = a->attempt;
-  const bool conn_held = a->conn_held;
-  free_attempt(ah);  // the late response will find a stale handle
-  VisitState* v = visit(h);
-  if (v == nullptr) return;
-  ++subrequest_timeouts_;
-  if (trace::TraceContext* tr = v->request->trace.get()) {
-    tr->add_edge_span(trace::SpanKind::kTimeoutWait, depth_, primary_edge_id_,
-                      v->downstream_started, engine_->now());
-  }
-  on_subrequest_result(h, attempt_no, conn_held, false);
-}
-
-void Server::on_subrequest_result(VisitHandle h, int attempt, bool conn_held, bool ok) {
-  if (ok) {
-    if (conn_held) conns_->release();
-    VisitState* v = visit(h);  // release cannot free this slot; see above
-    v->call_index += 1;
-    issue_downstream(h);
-    return;
-  }
-  if (attempt < retry_.max_retries) {
-    ++subrequest_retries_;
-    // Exponential backoff with deterministic jitter; the connection stays
-    // held across attempts (a blocked app thread keeps its pool slot).
-    const double base =
-        retry_.backoff_base_seconds * std::pow(retry_.backoff_multiplier, attempt);
-    const double jitter =
-        retry_.jitter_fraction > 0.0
-            ? 1.0 + retry_.jitter_fraction * (2.0 * rng_.next_double() - 1.0)
-            : 1.0;
-    const double delay = std::max(0.0, base * jitter);
-    if (trace::TraceContext* tr = visit(h)->request->trace.get()) {
-      tr->add_span(trace::SpanKind::kBackoff, depth_, engine_->now(),
-                   engine_->now() + sim::from_seconds(delay));
-    }
-    engine_->schedule_after(sim::from_seconds(delay), [this, h, attempt, conn_held] {
-      if (visit(h) == nullptr) return;
-      dispatch_downstream(h, attempt + 1, conn_held);
-    });
-    return;
-  }
-  if (conn_held) conns_->release();
-  finish_visit(h, false);
 }
 
 void Server::finish_visit(VisitHandle h, bool ok) {
@@ -542,8 +399,7 @@ void Server::crash() {
   ++epoch_;
   cpu_.abort_all();
   workers_.reset();
-  if (conns_) conns_->reset();
-  for (auto& e : fanout_) {
+  for (auto& e : out_edges_) {
     if (e.pool) e.pool->reset();
   }
   cpu_.set_thread_count(0);
@@ -579,12 +435,8 @@ void Server::set_thread_pool_size(int size) {
 }
 
 void Server::set_downstream_connections(int size) {
-  if (managed_pool_ != nullptr) {
-    managed_pool_->resize(size);
-    return;
-  }
-  DCM_CHECK_MSG(conns_ != nullptr, "server has no downstream connection pool");
-  conns_->resize(size);
+  DCM_CHECK_MSG(managed_pool_ != nullptr, "server has no managed connection pool");
+  managed_pool_->resize(size);
 }
 
 void Server::set_cpu_capacity_factor(double factor) {

@@ -3,26 +3,27 @@
 // A visit holds a worker-pool slot for its entire lifetime (CPU phases plus
 // downstream waits — a blocked Tomcat thread still occupies maxThreads and
 // still contributes multithreading overhead, which is why over-sized pools
-// hurt). Downstream sub-requests go through this server's connection pool
-// and the downstream tier's load balancer.
+// hurt).
 //
-// Hot-path storage: visits and retry attempts live in generation-counted
-// slabs owned by the server, not in per-visit shared_ptrs. Continuations
-// capture [this, handle] — 16 bytes, inside std::function's inline buffer —
-// so the steady-state request path performs no heap allocation. A freed slot
-// bumps its generation, which makes every outstanding handle stale; that
-// replaces both the old `finished` flag and the crash-epoch guard (crash()
-// frees all live slots, instantly invalidating pre-crash continuations).
+// Downstream calls have one route. A server owns 0..kMaxFanOut out-edges
+// (set_out_edges), each with an optional caller-side connection pool; a visit
+// runs one branch per out-edge. Calls within a branch are sequential,
+// branches run concurrently, and the post-CPU phase starts only after every
+// branch settles (synchronous join); any branch failure fails the visit once
+// the others drain. A chain hop is simply a one-branch visit. Every call on
+// a branch is one or more attempts under the server's SubRequestRetryPolicy;
+// the default policy is a zero budget (no deadline, no retry), which arms no
+// timer and draws no jitter.
 //
-// Topology: a server either has one downstream edge (set_downstream — the
-// chain case, routed through the legacy/retry paths untouched) or fans out
-// over ≥2 service-graph edges (set_fanout_edges). Fan-out branches run
-// concurrently, each branch's calls sequentially, and the visit's post-CPU
-// phase starts only after every branch settles (synchronous join); any
-// branch failure fails the visit once the others drain. Branch continuations
-// capture [this, handle, branch] — 20 bytes, past std::function's inline
-// buffer — so only fan-out topologies pay a per-continuation allocation; the
-// chain hot path stays allocation-free.
+// Hot-path storage: visits and call attempts live in generation-counted
+// slabs owned by the server, not in per-visit shared_ptrs. The continuation
+// handed to Tier::dispatch (a std::function DoneFn) captures
+// [this, AttemptHandle] — 16 bytes, inside its inline buffer — and the
+// others are small sim::EventFn captures, so the steady-state request path
+// performs no heap allocation on any topology. A freed slot bumps its
+// generation, which makes every outstanding handle stale: a response after
+// its deadline, or any continuation of a visit crash() freed, finds nothing
+// and does nothing.
 #pragma once
 
 #include <cstdint>
@@ -42,8 +43,8 @@ namespace dcm::ntier {
 
 class Tier;  // downstream dispatch target
 
-/// One out-edge of a fan-out server (see Server::set_fanout_edges).
-struct ServerFanoutEdge {
+/// One out-edge of a server (see Server::set_out_edges).
+struct OutEdge {
   Tier* target = nullptr;
   int edge_id = 0;        // service-graph edge id (indexes downstream_calls)
   int pool_capacity = 0;  // >0: per-server caller-side connection pool
@@ -53,16 +54,14 @@ struct ServerFanoutEdge {
 /// Deadline + bounded retry applied to each inter-tier sub-request. All
 /// fields are per-attempt; backoff between attempt k and k+1 is
 /// backoff_base · multiplier^k, jittered ±jitter_fraction from the server's
-/// own deterministic Rng stream. Disabled by default (exactly the legacy
-/// single-attempt behaviour, with no extra allocations on the hot path).
+/// own deterministic Rng stream. The default is a zero budget: one attempt
+/// per call, no deadline timer, no jitter draw.
 struct SubRequestRetryPolicy {
   double timeout_seconds = 0.0;  // 0 = no deadline
   int max_retries = 0;
   double backoff_base_seconds = 0.05;
   double backoff_multiplier = 2.0;
   double jitter_fraction = 0.2;
-
-  bool enabled() const { return timeout_seconds > 0.0 || max_retries > 0; }
 };
 
 class Server {
@@ -72,21 +71,13 @@ class Server {
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
-  /// Wires the tier this server sends sub-requests to (nullptr = leaf).
-  void set_downstream(Tier* tier) { downstream_ = tier; }
-
-  /// Service-graph edge id of the single downstream edge; indexes the
-  /// request's downstream_calls plan and stamps kConnWait/kDownstream spans.
-  /// Defaults to the tier depth, which is exactly the legacy chain indexing.
-  void set_primary_edge_id(int edge_id) { primary_edge_id_ = edge_id; }
-
-  /// Wires ≥2 concurrent out-edges (fan-out/join topology node). Mutually
-  /// exclusive with set_downstream. Edges with pool_capacity > 0 get a
+  /// Wires the server's out-edges (0..kMaxFanOut; none = leaf), replacing
+  /// any previous set — call it while no visit is in flight. An edge's id
+  /// indexes the request's downstream_calls plan and stamps its
+  /// kConnWait/kDownstream spans. Edges with pool_capacity > 0 get a
   /// per-server connection pool; the managed edge's pool (at most one) is
-  /// what connection_pool()/set_downstream_connections operate on. Branches
-  /// are single-attempt: the sub-request retry policy applies only to
-  /// single-edge servers.
-  void set_fanout_edges(const std::vector<ServerFanoutEdge>& edges);
+  /// what connection_pool()/set_downstream_connections operate on.
+  void set_out_edges(const std::vector<OutEdge>& edges);
 
   /// Processes one visit; `done(ok)` fires at visit completion (ok=false if
   /// rejected here or anywhere downstream — a failed sub-request fails the
@@ -145,11 +136,9 @@ class Server {
   double cpu_util_integral() const { return cpu_.util_integral(); }
 
   const SlotPool& worker_pool() const { return workers_; }
-  /// The pool set_downstream_connections resizes: the managed fan-out edge's
-  /// pool when one exists, else the single-edge connection pool.
-  const SlotPool* connection_pool() const {
-    return managed_pool_ != nullptr ? managed_pool_ : conns_.get();
-  }
+  /// The pool set_downstream_connections resizes: the managed edge's pool,
+  /// or nullptr when no edge is managed.
+  const SlotPool* connection_pool() const { return managed_pool_; }
   const CpuScheduler& cpu() const { return cpu_; }
 
   /// Fault injection: scales this server's CPU capacity (1.0 = healthy,
@@ -173,15 +162,13 @@ class Server {
     uint32_t gen = 0;
   };
 
-  /// Per-branch progress of a fan-out visit. Branch calls are sequential
-  /// within the branch, branches concurrent with each other, so each needs
-  /// its own call cursor, pool state, and tracing scratch.
+  /// Per-branch progress of a visit (one branch per out-edge). Branch calls
+  /// are sequential within the branch, branches concurrent with each other,
+  /// so each needs its own call cursor and tracing scratch.
   struct BranchScratch {
-    int calls = 0;
-    int index = 0;
-    bool conn_held = false;
+    int calls = 0;  // sub-requests this visit issues on the edge
+    int index = 0;  // current call
     sim::SimTime conn_requested = 0;
-    sim::SimTime started = 0;
   };
 
   struct VisitState {
@@ -190,32 +177,29 @@ class Server {
     DoneFn done;
     sim::SimTime arrived = 0;
     double demand = 0.0;  // sampled total CPU demand for this visit
-    int calls = 0;        // downstream sub-requests this visit issues
-    int call_index = 0;   // current sub-request (they are strictly sequential)
-    bool conn_held = false;  // legacy path: connection held for current call
     bool holds_worker = false;
 
-    // Fan-out join state (untouched on single-edge servers).
+    // Join state.
     InlineVec<BranchScratch, kMaxFanOut> branches;
     int branches_pending = 0;
     bool branch_failed = false;
 
-    // Tracing scratch (written only when request->trace is non-null; the
-    // visit's phases are strictly sequential, so one slot per kind suffices).
+    // CPU tracing scratch (written only when request->trace is non-null; the
+    // visit's CPU phases are strictly sequential, so one slot suffices).
     sim::SimTime cpu_submitted = 0;
     double cpu_work = 0.0;
-    sim::SimTime conn_requested = 0;
-    sim::SimTime downstream_started = 0;
   };
 
-  /// Per-attempt settlement record for a retried sub-request. Exactly one of
-  /// {downstream response, deadline expiry} settles the attempt by freeing
-  /// its slot; whichever loses the race finds a stale handle and becomes a
-  /// no-op, so a visit can never complete (or release a connection) twice.
+  /// One attempt of one call on a branch. Exactly one of {downstream
+  /// response, deadline expiry} settles the attempt by freeing its slot;
+  /// whichever loses the race finds a stale handle and becomes a no-op, so
+  /// a visit can never complete (or release a connection) twice.
   struct AttemptState {
     VisitHandle visit;
+    int branch = 0;
     int attempt = 0;
     bool conn_held = false;
+    sim::SimTime started = 0;  // tracing scratch
     sim::EventHandle timeout;
   };
 
@@ -244,22 +228,14 @@ class Server {
   void on_worker_granted(VisitHandle h);
   void start_visit(VisitHandle h);
   void on_cpu_done_finish(VisitHandle h);      // CPU-only / post phase done
-  void on_cpu_done_downstream(VisitHandle h);  // pre phase done
-  void issue_downstream(VisitHandle h);
-  void on_cpu_done_fanout(VisitHandle h);      // pre phase done, fan-out node
-  void start_branch_call(VisitHandle h, int branch);
-  void on_branch_conn(VisitHandle h, int branch);
-  void forward_branch(VisitHandle h, int branch, bool conn_held);
-  void on_branch_response(VisitHandle h, int branch, bool ok);
-  void settle_branch(VisitHandle h, bool ok);
-  void on_conn_granted_legacy(VisitHandle h);
-  void forward_legacy(VisitHandle h, bool conn_held);
-  void on_legacy_response(VisitHandle h, bool ok);
-  void on_conn_granted_retry(VisitHandle h);
-  void dispatch_downstream(VisitHandle h, int attempt, bool conn_held);
+  void on_cpu_done_downstream(VisitHandle h);  // pre phase done: issue branches
+  void start_call(VisitHandle h, int branch);
+  void on_conn_granted(VisitHandle h, int branch);
+  void dispatch_attempt(VisitHandle h, int branch, int attempt, bool conn_held);
   void on_attempt_response(AttemptHandle ah, bool ok);
   void on_attempt_timeout(AttemptHandle ah);
-  void on_subrequest_result(VisitHandle h, int attempt, bool conn_held, bool ok);
+  void on_subrequest_result(const AttemptState& settled, bool ok);
+  void settle_branch(VisitHandle h, bool ok);
   void finish_visit(VisitHandle h, bool ok);
   void begin_cpu_span(VisitState& visit, double work);
   void end_cpu_span(VisitState& visit);
@@ -274,18 +250,15 @@ class Server {
   double demand_ln_sigma_ = 0.0;
 
   SlotPool workers_;
-  std::unique_ptr<SlotPool> conns_;  // created when downstream_connections>0
   CpuScheduler cpu_;
-  Tier* downstream_ = nullptr;
-  int primary_edge_id_;  // single-edge id; defaults to depth (chain indexing)
-  /// Installed fan-out edge with its optional per-server pool.
-  struct FanoutEdge {
+  /// Installed out-edge with its optional per-server pool.
+  struct Edge {
     Tier* target = nullptr;
     int edge_id = 0;
     std::unique_ptr<SlotPool> pool;
   };
-  std::vector<FanoutEdge> fanout_;
-  SlotPool* managed_pool_ = nullptr;  // the managed fan-out edge's pool
+  std::vector<Edge> out_edges_;
+  SlotPool* managed_pool_ = nullptr;  // the managed edge's pool
   SubRequestRetryPolicy retry_;
 
   uint64_t completed_ = 0;

@@ -24,8 +24,9 @@ struct ServerConfig {
   /// drop, they queue.
   int max_queue = 1'000'000;
 
-  /// Connection pool size toward the downstream tier (Tomcat's DBConnP).
-  /// Ignored for leaf servers.
+  /// Connection pool size toward the downstream tier (Tomcat's DBConnP) of
+  /// an AppConfig chain tier (see Tier::set_downstream). Graph apps declare
+  /// pools on their edges (ServiceEdge::pool_capacity) and ignore this.
   int downstream_connections = 80;
 
   /// Fraction of a visit's CPU demand executed before downstream calls; the

@@ -19,15 +19,18 @@
 //     request-array bounds (request.h);
 //   - at most one managed edge, and a managed edge must carry a pool.
 //
-// Join semantics are synchronous and fail-fast: a node with several out-edges
-// issues each edge's calls sequentially per edge, edges concurrently, and
-// resumes its post-processing CPU phase only after every edge settles; any
-// sub-request failure fails the whole visit once outstanding branches drain.
+// Join semantics are synchronous and fail-fast: a node issues each out-edge's
+// calls sequentially per edge, edges concurrently, and resumes its
+// post-processing CPU phase only after every edge settles; any sub-request
+// failure fails the whole visit once outstanding branches drain. A node with
+// one out-edge is the one-branch case. Connection pools are declared only on
+// edges (pool_capacity/managed); the tier template's downstream_connections
+// is ignored.
 //
 // A chain declared in depth order (edge i = depth i → depth i+1) is the
-// degenerate case and reproduces the legacy wiring bit-for-bit: edge id
+// degenerate case and reproduces the AppConfig chain bit-for-bit: edge id
 // equals the issuing tier's depth, so per-edge request plans coincide with
-// the historical per-tier hop lists.
+// the chain's per-tier hop lists.
 #pragma once
 
 #include <cstddef>
@@ -100,7 +103,7 @@ class ServiceGraph {
 
   /// True when the graph is a linear chain declared in depth order
   /// (edge i connects node i → node i+1) — the degenerate case equivalent
-  /// to the legacy tier-chain wiring.
+  /// to the AppConfig chain wiring.
   bool is_chain() const;
 
   /// Lowest-id node with the given role, or -1.

@@ -115,19 +115,14 @@ class Tier {
   Tier(const Tier&) = delete;
   Tier& operator=(const Tier&) = delete;
 
+  /// Wires the tier's out-edges (see Server::set_out_edges). Applied to
+  /// every live server; VMs launched later inherit the edges, with the
+  /// managed edge's pool sized to the tier's current connection allocation.
+  void set_out_edges(std::vector<OutEdge> edges);
+
+  /// AppConfig chain shorthand: one edge to `tier` with edge id = depth and
+  /// the template's downstream_connections as its pool (managed iff > 0).
   void set_downstream(Tier* tier);
-  Tier* downstream() const { return downstream_; }
-
-  /// Wires the tier's single out-edge with its service-graph edge id (the
-  /// index into each request's downstream_calls plan). set_downstream(t) is
-  /// shorthand for set_downstream_edge(t, depth) — the chain convention.
-  void set_downstream_edge(Tier* tier, int edge_id);
-
-  /// Wires ≥2 concurrent out-edges (fan-out node). Applied to every live
-  /// server; VMs launched later inherit the edges, with the managed edge's
-  /// pool sized to the tier's current connection allocation. Mutually
-  /// exclusive with set_downstream.
-  void set_fanout_edges(const std::vector<ServerFanoutEdge>& edges);
 
   /// Routes one visit through the load balancer. done(false) if no server
   /// is in service.
@@ -205,6 +200,7 @@ class Tier {
  private:
   Vm& launch_vm(sim::SimTime boot_delay);
   void on_vm_active(Vm& vm);
+  void install_out_edges(Server& server) const;
   void health_sweep();
   void record_event(const char* kind, const std::string& detail);
 
@@ -213,9 +209,7 @@ class Tier {
   int depth_;
   Rng rng_;
   LoadBalancer balancer_;
-  Tier* downstream_ = nullptr;
-  int primary_edge_id_;  // single out-edge id; defaults to depth (chain)
-  std::vector<ServerFanoutEdge> fanout_specs_;  // fan-out template for VMs
+  std::vector<OutEdge> out_edges_;  // edge template for every VM
   std::vector<std::unique_ptr<Vm>> vms_;
   int next_vm_index_ = 0;
   int current_stp_;

@@ -77,9 +77,8 @@ TEST(ServerCrashTest, UpstreamSeesDownstreamCrashAsFailure) {
   up.name = "app";
   up.cpu.params = {0.01, 0.0, 0.0};
   up.max_threads = 8;
-  up.downstream_connections = 8;
   Server upstream(engine, up, 0, Rng(3));
-  upstream.set_downstream(&db_tier);
+  upstream.set_out_edges({{&db_tier, /*edge_id=*/0, /*pool_capacity=*/8, /*managed=*/true}});
 
   int ok = 0, failed = 0;
   auto req = std::make_shared<RequestContext>();
@@ -109,9 +108,8 @@ TEST(ServerCrashTest, UpstreamCrashIgnoresLateDownstreamResponses) {
   up.name = "app";
   up.cpu.params = {0.01, 0.0, 0.0};
   up.max_threads = 8;
-  up.downstream_connections = 8;
   Server upstream(engine, up, 0, Rng(5));
-  upstream.set_downstream(&db_tier);
+  upstream.set_out_edges({{&db_tier, /*edge_id=*/0, /*pool_capacity=*/8, /*managed=*/true}});
 
   int failed = 0;
   auto req = std::make_shared<RequestContext>();
@@ -222,9 +220,8 @@ TEST(ServerCrashTest, NestedDownstreamCrashFailsEachVisitExactlyOnce) {
   up.name = "app";
   up.cpu.params = {0.01, 0.0, 0.0};
   up.max_threads = 8;
-  up.downstream_connections = 8;
   Server upstream(engine, up, 0, Rng(12));
-  upstream.set_downstream(&db_tier);
+  upstream.set_out_edges({{&db_tier, /*edge_id=*/0, /*pool_capacity=*/8, /*managed=*/true}});
 
   auto req = std::make_shared<RequestContext>();
   req->demand_scale = {1.0, 1.0};

@@ -145,9 +145,8 @@ TEST(SubRequestRetryTest, RetryRecoversVisitAfterDownstreamFastFail) {
   up.name = "app";
   up.cpu.params = {0.01, 0.0, 0.0};
   up.max_threads = 8;
-  up.downstream_connections = 8;
   Server upstream(engine, up, 0, Rng(9));
-  upstream.set_downstream(&db_tier);
+  upstream.set_out_edges({{&db_tier, /*edge_id=*/0, /*pool_capacity=*/8, /*managed=*/true}});
   SubRequestRetryPolicy retry;
   retry.max_retries = 1;
   retry.backoff_base_seconds = 0.01;
@@ -182,9 +181,8 @@ TEST(SubRequestRetryTest, DeadlineExpirationsAreCountedAndBounded) {
   up.name = "app";
   up.cpu.params = {0.01, 0.0, 0.0};
   up.max_threads = 8;
-  up.downstream_connections = 8;
   Server upstream(engine, up, 0, Rng(11));
-  upstream.set_downstream(&db_tier);
+  upstream.set_out_edges({{&db_tier, /*edge_id=*/0, /*pool_capacity=*/8, /*managed=*/true}});
   SubRequestRetryPolicy retry;
   retry.timeout_seconds = 0.01;
   retry.max_retries = 1;
@@ -211,6 +209,63 @@ TEST(SubRequestRetryTest, DeadlineExpirationsAreCountedAndBounded) {
   EXPECT_EQ(upstream.in_flight(), 0);
   EXPECT_EQ(upstream.downstream_connections_in_use(), 0);
   EXPECT_EQ(db_tier.completed(), 2u);
+}
+
+TEST(SubRequestRetryTest, FanOutBranchesHonourTheRetryPolicy) {
+  // A two-edge fan-out server. Edge 0's target has a silently dead first VM:
+  // the first attempt fast-fails and the retry lands on the survivor. Edge
+  // 1's target is far slower than the deadline: both of its attempts expire,
+  // so that branch fails and the join fails the visit once both settle.
+  sim::Engine engine;
+  Rng rng(12);
+  TierConfig flaky;
+  flaky.name = "flaky";
+  flaky.server = slow_leaf(8, 0.01);
+  flaky.initial_vms = 2;
+  flaky.max_vms = 2;
+  Tier flaky_tier(engine, flaky, 1, rng);
+  ASSERT_TRUE(flaky_tier.inject_crash("flaky-vm0"));
+  TierConfig slow;
+  slow.name = "slow";
+  slow.server = slow_leaf(8, 0.5);
+  Tier slow_tier(engine, slow, 2, rng);
+
+  ServerConfig up;
+  up.name = "hub";
+  up.cpu.params = {0.01, 0.0, 0.0};
+  up.max_threads = 8;
+  Server upstream(engine, up, 0, Rng(13));
+  upstream.set_out_edges({{&flaky_tier, /*edge_id=*/0, /*pool_capacity=*/0, /*managed=*/false},
+                          {&slow_tier, /*edge_id=*/1, /*pool_capacity=*/4, /*managed=*/true}});
+  SubRequestRetryPolicy retry;
+  retry.timeout_seconds = 0.1;
+  retry.max_retries = 1;
+  retry.backoff_base_seconds = 0.01;
+  upstream.set_subrequest_retry(retry);
+
+  auto req = std::make_shared<RequestContext>();
+  req->demand_scale = {1.0, 1.0, 1.0};
+  req->downstream_calls = {1, 1};
+  int done_count = 0;
+  bool done_ok = true;
+  sim::SimTime done_at = 0;
+  upstream.process(req, [&](bool r) {
+    ++done_count;
+    done_ok = r;
+    done_at = engine.now();
+  });
+  engine.run_until(sim::from_seconds(5.0));
+
+  EXPECT_EQ(done_count, 1);
+  EXPECT_FALSE(done_ok);
+  // Pre-CPU (5 ms) + two 100 ms deadlines + one ~10 ms backoff on edge 1.
+  EXPECT_GT(done_at, sim::from_seconds(0.2));
+  EXPECT_LT(done_at, sim::from_seconds(0.5));
+  EXPECT_EQ(upstream.subrequest_timeouts(), 2u);  // both edge-1 attempts
+  EXPECT_EQ(upstream.subrequest_retries(), 2u);   // one per branch
+  EXPECT_EQ(flaky_tier.completed(), 1u);          // edge 0 recovered
+  EXPECT_EQ(upstream.in_flight(), 0);
+  EXPECT_EQ(upstream.downstream_connections_in_use(), 0);
 }
 
 }  // namespace

@@ -113,10 +113,10 @@ class TwoTierFixture : public ::testing::Test {
     up.name = "app";
     up.cpu.params = {0.010, 0.0, 0.0};
     up.max_threads = 10;
-    up.downstream_connections = 2;
     up.pre_fraction = 0.5;
     upstream_ = std::make_unique<Server>(engine_, up, /*depth=*/0, Rng(3));
-    upstream_->set_downstream(db_tier_.get());
+    upstream_->set_out_edges(
+        {{db_tier_.get(), /*edge_id=*/0, /*pool_capacity=*/2, /*managed=*/true}});
   }
 
   RequestPtr nested_request(int calls) {
@@ -183,7 +183,7 @@ TEST_F(TwoTierFixture, DownstreamFailurePropagates) {
   db.server.max_queue = 0;
   Rng rng(5);
   Tier tight(engine_, db, 1, rng);
-  upstream_->set_downstream(&tight);
+  upstream_->set_out_edges({{&tight, /*edge_id=*/0, /*pool_capacity=*/2, /*managed=*/true}});
   upstream_->set_downstream_connections(4);
 
   int failures = 0, successes = 0;

@@ -2,11 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "core/topologies.h"
+#include "ntier/app.h"
+#include "sim/engine.h"
 
 namespace dcm::ntier {
 namespace {
@@ -168,6 +172,56 @@ TEST(ServiceGraphTest, BuildRejectsBadSpecs) {
   spec.edges = {{"a", "ghost", 1, false, false}};
   EXPECT_THROW(core::build_service_graph(spec, {1, 1, 1}, {1000, 100, 80}),
                std::runtime_error);  // undeclared endpoint
+}
+
+// A single-edge graph node takes its connection pool from the edge alone:
+// the TierConfig templates keep their default downstream_connections (80),
+// which a graph app must ignore.
+TEST(ServiceGraphTest, SingleEdgeNodeHonoursItsEdgePool) {
+  struct Outcome {
+    bool has_pool = false;
+    int pool_capacity = 0;
+    int max_back_in_flight = 0;
+    uint64_t back_completed = 0;
+  };
+  auto run = [](int pool_capacity) {
+    std::vector<ServiceNode> nodes = {make_node("front", NodeRole::kApp),
+                                      make_node("back", NodeRole::kDb)};
+    for (auto& n : nodes) n.tier.server.cpu.params.s0 = 0.010;
+    ServiceEdge edge = call(0, 1);
+    edge.pool_capacity = pool_capacity;
+    edge.managed = pool_capacity > 0;
+    sim::Engine engine;
+    NTierApp app(engine, ServiceGraph(std::move(nodes), {edge}), /*seed=*/1);
+    for (int i = 0; i < 10; ++i) {
+      auto req = std::make_shared<RequestContext>();
+      req->demand_scale = {1.0, 1.0};
+      req->downstream_calls = {1};
+      app.submit(req, [](bool ok) { EXPECT_TRUE(ok); });
+    }
+    Outcome out;
+    if (const SlotPool* pool = app.tier(0).vms()[0]->server().connection_pool()) {
+      out.has_pool = true;
+      out.pool_capacity = pool->capacity();
+    }
+    engine.schedule_periodic(sim::from_millis(1.0), [&] {
+      out.max_back_in_flight = std::max(out.max_back_in_flight, app.tier(1).total_in_flight());
+    });
+    engine.run_until(sim::from_seconds(1.0));
+    out.back_completed = app.tier(1).completed();
+    return out;
+  };
+
+  const Outcome pooled = run(2);
+  EXPECT_TRUE(pooled.has_pool);
+  EXPECT_EQ(pooled.pool_capacity, 2);
+  EXPECT_EQ(pooled.max_back_in_flight, 2);
+  EXPECT_EQ(pooled.back_completed, 10u);
+
+  const Outcome unpooled = run(0);
+  EXPECT_FALSE(unpooled.has_pool);  // connection_pool() == nullptr
+  EXPECT_EQ(unpooled.max_back_in_flight, 10);
+  EXPECT_EQ(unpooled.back_completed, 10u);
 }
 
 TEST(ServiceGraphTest, RoleNamesRoundTrip) {

@@ -140,6 +140,11 @@ TEST(TierTest, NewVmInheritsCurrentSoftAllocation) {
   TierConfig config = tier_config(1);
   config.server.downstream_connections = 80;
   Tier tier(engine, config, 0, rng);
+  // The connection pool lives on the out-edge, so the tier needs one.
+  TierConfig db_config = tier_config(1);
+  db_config.name = "db";
+  Tier db(engine, db_config, 1, rng);
+  tier.set_downstream(&db);
   tier.set_thread_pool_size(20);
   tier.set_downstream_connections(18);
   tier.scale_out();

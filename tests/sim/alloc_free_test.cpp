@@ -164,6 +164,49 @@ TEST(AllocationFreeTest, ThreeTierRoundTripIsAllocationFreeAtSteadyState) {
   EXPECT_EQ(driver.completed, 1200u);
 }
 
+TEST(AllocationFreeTest, FanOutRoundTripIsAllocationFreeAtSteadyState) {
+  // The fan-out/join twin of the three-tier pin: web → app, then app fans out
+  // to a cache and, through its managed connection pool, to a db. Branch
+  // calls run concurrently and join before the app's post-CPU phase; once
+  // the slabs are warm none of it may touch the global allocator.
+  struct Driver {
+    Engine& engine;
+    ntier::NTierApp& app;
+    uint64_t completed = 0;
+    uint64_t issued = 0;
+    void issue() {
+      ntier::RequestPtr request = ntier::make_request_context(&engine.arena());
+      request->id = ++issued;
+      request->created = engine.now();
+      request->demand_scale = {1.0, 1.0, 1.0, 1.0};
+      request->downstream_calls = {1, 1, 2};  // web→app, app→cache, 2 app→db
+      app.submit(request, [this](bool ok) {
+        EXPECT_TRUE(ok);
+        ++completed;
+        if (issued < 1200) issue();
+      });
+    }
+  };
+  const core::TopologySpec spec{core::TopologySpec::Kind::kGraph,
+                                {{"web", "web"}, {"app", "app"}, {"cache", "cache"}, {"db", "db"}},
+                                {{"web", "app", 1, false, false},
+                                 {"app", "cache", 1, false, false},
+                                 {"app", "db", 2, false, true}}};
+  Engine engine;
+  ntier::NTierApp app(engine, core::build_service_graph(spec, {1, 1, 1}, {1000, 100, 80}),
+                      /*seed=*/1);
+  ASSERT_NE(app.tier(1).vms()[0]->server().connection_pool(), nullptr);
+  Driver driver{engine, app};
+  driver.issue();
+  engine.run_until(sim::from_seconds(5.0));
+  ASSERT_GE(driver.completed, 100u) << "warm-up did not complete";
+  const uint64_t before = allocations();
+  engine.run_to_completion();
+  EXPECT_EQ(allocations(), before)
+      << "steady-state fan-out round trips allocated";
+  EXPECT_EQ(driver.completed, 1200u);
+}
+
 TEST(AllocationFreeTest, OversizedCapturesHeapBoxButStillWork) {
   Engine engine;
   std::array<char, EventFn::kInlineCapacity + 16> big{};
