@@ -23,21 +23,18 @@ struct Point {
 Point measure(int concurrency) {
   using namespace dcm;
   sim::Engine engine;
-  ntier::NTierApp app(engine, core::mysql_only_app_config(/*worker_cap=*/concurrency));
+  ntier::NTierApp app(engine, core::mysql_only_graph(/*worker_cap=*/concurrency), /*seed=*/1);
   const workload::ServletCatalog catalog = workload::ServletCatalog::browse_only_mix();
-  workload::ClosedLoopConfig config;
-  config.users = concurrency;
-  config.seed = 1000 + static_cast<uint64_t>(concurrency);
-  workload::ClosedLoopGenerator generator(engine, app, core::mysql_query_factory(catalog),
-                                          std::move(config));
-  generator.start();
+  auto generator = workload::make_jmeter(engine, app, catalog, /*users=*/concurrency,
+                                        /*seed=*/1000 + static_cast<uint64_t>(concurrency));
+  generator->start();
   const double duration = 60.0;
   engine.run_until(sim::from_seconds(duration));
   Point p;
   p.concurrency = concurrency;
-  p.throughput = generator.stats().mean_throughput(sim::from_seconds(10.0),
-                                                   sim::from_seconds(duration));
-  p.response_ms = generator.stats().response_time_stats().mean() * 1000.0;
+  p.throughput = generator->stats().mean_throughput(sim::from_seconds(10.0),
+                                                    sim::from_seconds(duration));
+  p.response_ms = generator->stats().response_time_stats().mean() * 1000.0;
   return p;
 }
 

@@ -56,18 +56,17 @@ int DcmController::db_tier_nb() const {
 }
 
 model::BottleneckReport DcmController::rank_graph_nodes() const {
-  const ntier::ServiceGraph* graph = app().graph();
-  if (graph == nullptr) return {};
-  const std::vector<double>& visits = graph->visit_ratios();
+  const ntier::ServiceGraph& graph = app().graph();
+  const std::vector<double>& visits = graph.visit_ratios();
   std::vector<model::TierDemand> demands;
-  demands.reserve(graph->node_count());
-  for (size_t i = 0; i < graph->node_count(); ++i) {
+  demands.reserve(graph.node_count());
+  for (size_t i = 0; i < graph.node_count(); ++i) {
     model::TierDemand demand;
     demand.name = app().tier(i).name();
     demand.visit_ratio = visits[i];
     // Base (uncontended) service time: the operational-law capacity bound
     // uses S0; contention shifts where the knee is, not which node caps X.
-    demand.service_time = graph->node(i).tier.server.cpu.params.s0;
+    demand.service_time = graph.node(i).tier.server.cpu.params.s0;
     demand.servers = std::max(1, app().tier(i).active_vm_count());
     demands.push_back(demand);
   }

@@ -67,7 +67,7 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
                       build_service_graph(config.topology, config.hardware, config.soft,
                                           config.max_vms_per_tier),
                       topology_seed);
-  const ntier::ServiceGraph& graph = *app.graph();
+  const ntier::ServiceGraph& graph = app.graph();
   bus::Broker broker;
   ntier::MonitorFleet fleet(engine, app, broker);
 
@@ -88,23 +88,21 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
   }
 
   const workload::ServletCatalog catalog = workload::ServletCatalog::browse_only_mix(kDbVisitRatio);
-  workload::RequestFactory factory = workload::graph_request_factory(catalog, graph);
 
   std::unique_ptr<workload::ClosedLoopGenerator> generator;
   std::unique_ptr<workload::TracePlayer> player;
   switch (config.workload.kind) {
     case WorkloadSpec::Kind::kJmeter:
-      generator = workload::make_jmeter(engine, app, std::move(factory),
-                                        config.workload.users, workload_seed);
+      generator =
+          workload::make_jmeter(engine, app, catalog, config.workload.users, workload_seed);
       break;
     case WorkloadSpec::Kind::kRubbosClients:
-      generator = workload::make_rubbos_clients(engine, app, std::move(factory),
-                                                config.workload.users,
+      generator = workload::make_rubbos_clients(engine, app, catalog, config.workload.users,
                                                 config.workload.mean_think_seconds,
                                                 workload_seed);
       break;
     case WorkloadSpec::Kind::kTrace:
-      generator = workload::make_rubbos_clients(engine, app, std::move(factory),
+      generator = workload::make_rubbos_clients(engine, app, catalog,
                                                 config.workload.trace.users_at(0),
                                                 config.workload.mean_think_seconds,
                                                 workload_seed);

@@ -2,10 +2,9 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 #include <unordered_map>
 #include <utility>
-
-#include "common/check.h"
 
 namespace dcm::core {
 
@@ -24,7 +23,6 @@ ntier::TierConfig haproxy_tier_config() {
   lb.server.cpu.thrash_threshold = 1e18;
   lb.server.cpu.thrash_factor = 0.0;
   lb.server.max_threads = 10000;
-  lb.server.downstream_connections = 0;
   lb.server.pre_fraction = 0.5;
   lb.server.demand_cv = 0.05;
   lb.initial_vms = 1;
@@ -33,9 +31,9 @@ ntier::TierConfig haproxy_tier_config() {
   return lb;
 }
 
-/// Per-role tier template for kGraph nodes. Web/app/db reuse the calibrated
-/// rubbos tiers; lb is the HAProxy pass-through; cache is a memcached-like
-/// in-memory store (scalable, single CPU phase).
+/// Per-role tier template for every graph node. Web/app/db are the calibrated
+/// RUBBoS tiers (Apache, Tomcat, MySQL); lb is the HAProxy pass-through;
+/// cache is a memcached-like in-memory store (scalable, single CPU phase).
 ntier::TierConfig graph_node_tier(const std::string& name, ntier::NodeRole role,
                                   HardwareConfig hw, SoftAllocation soft,
                                   int max_vms_per_tier) {
@@ -60,6 +58,9 @@ ntier::TierConfig graph_node_tier(const std::string& name, ntier::NodeRole role,
       break;
     case ntier::NodeRole::kDb:
       tier.server.cpu = mysql_cpu_model();
+      // max_connections-style cap, far above any sane upstream pool: the
+      // concurrency reaching MySQL is governed by the Tomcat DBConnP, exactly
+      // as in the paper.
       tier.server.max_threads = 1000;
       tier.server.pre_fraction = 1.0;  // leaf: single CPU phase
       tier.server.demand_cv = 0.25;
@@ -77,7 +78,6 @@ ntier::TierConfig graph_node_tier(const std::string& name, ntier::NodeRole role,
       tier.max_vms = max_vms_per_tier;
       break;
   }
-  tier.server.downstream_connections = 0;  // pools are declared on edges
   tier.min_vms = 1;
   return tier;
 }
@@ -122,65 +122,26 @@ ntier::CpuModelConfig cache_cpu_model() {
   return cpu;
 }
 
-ntier::AppConfig rubbos_app_config(HardwareConfig hw, SoftAllocation soft, uint64_t seed,
-                                   int max_vms_per_tier) {
-  DCM_CHECK(hw.web >= 1 && hw.app >= 1 && hw.db >= 1);
-  DCM_CHECK(soft.web_threads >= 1 && soft.app_threads >= 1 && soft.db_connections >= 1);
-
-  ntier::AppConfig config;
-  config.seed = seed;
-
-  ntier::TierConfig web;
-  web.name = "apache";
-  web.server.cpu = apache_cpu_model();
-  web.server.max_threads = soft.web_threads;
-  web.server.downstream_connections = 0;  // HAProxy fronts the app tier; no per-Apache cap
-  web.server.pre_fraction = 0.5;
-  web.server.demand_cv = 0.10;
-  web.initial_vms = hw.web;
-  web.min_vms = 1;
-  web.max_vms = std::max(hw.web, max_vms_per_tier);
-
-  ntier::TierConfig app;
-  app.name = "tomcat";
-  app.server.cpu = tomcat_cpu_model();
-  app.server.max_threads = soft.app_threads;
-  app.server.downstream_connections = soft.db_connections;
-  app.server.pre_fraction = 0.5;
-  app.server.demand_cv = 0.25;
-  app.initial_vms = hw.app;
-  app.min_vms = 1;
-  app.max_vms = std::max(hw.app, max_vms_per_tier);
-
-  ntier::TierConfig db;
-  db.name = "mysql";
-  db.server.cpu = mysql_cpu_model();
-  // max_connections-style cap, far above any sane upstream pool: the
-  // concurrency reaching MySQL is governed by the Tomcat DBConnP, exactly
-  // as in the paper.
-  db.server.max_threads = 1000;
-  db.server.downstream_connections = 0;
-  db.server.pre_fraction = 1.0;  // leaf: single CPU phase
-  db.server.demand_cv = 0.25;
-  db.initial_vms = hw.db;
-  db.min_vms = 1;
-  db.max_vms = std::max(hw.db, max_vms_per_tier);
-
-  config.tiers = {web, app, db};
-  return config;
-}
-
 ntier::ServiceGraph build_service_graph(const TopologySpec& spec, HardwareConfig hw,
                                         SoftAllocation soft, int max_vms_per_tier) {
+  const auto require_positive = [](const char* what, int value) {
+    if (value < 1) spec_error(std::string(what) + " must be >= 1, got " + std::to_string(value));
+  };
+  require_positive("hardware web", hw.web);
+  require_positive("hardware app", hw.app);
+  require_positive("hardware db", hw.db);
+  require_positive("soft web_threads", soft.web_threads);
+  require_positive("soft app_threads", soft.app_threads);
+  require_positive("soft db_connections", soft.db_connections);
+  require_positive("max_vms_per_tier", max_vms_per_tier);
+  const auto node = [&](const std::string& name, ntier::NodeRole role) {
+    return ntier::ServiceNode{graph_node_tier(name, role, hw, soft, max_vms_per_tier), role};
+  };
   if (spec.kind == TopologySpec::Kind::kChain3) {
-    // Byte-identical tier templates to the legacy chain app; the edges are
-    // the chain's hops in depth order, so edge id == source depth and the
-    // graph deployment reproduces the chain digests bit-for-bit.
-    const ntier::AppConfig chain = rubbos_app_config(hw, soft, /*seed=*/1, max_vms_per_tier);
-    std::vector<ntier::ServiceNode> nodes;
-    nodes.push_back({chain.tiers[0], ntier::NodeRole::kWeb});
-    nodes.push_back({chain.tiers[1], ntier::NodeRole::kApp});
-    nodes.push_back({chain.tiers[2], ntier::NodeRole::kDb});
+    // The chain's hops in depth order: edge id == source depth.
+    std::vector<ntier::ServiceNode> nodes = {node("apache", ntier::NodeRole::kWeb),
+                                             node("tomcat", ntier::NodeRole::kApp),
+                                             node("mysql", ntier::NodeRole::kDb)};
     std::vector<ntier::ServiceEdge> edges;
     edges.push_back({/*from=*/0, /*to=*/1, /*fixed_calls=*/1, /*servlet_calls=*/false,
                      /*mean_calls=*/1.0, /*pool_capacity=*/0, /*managed=*/false});
@@ -192,12 +153,9 @@ ntier::ServiceGraph build_service_graph(const TopologySpec& spec, HardwareConfig
     return ntier::ServiceGraph(std::move(nodes), std::move(edges));
   }
   if (spec.kind == TopologySpec::Kind::kChain4) {
-    const ntier::AppConfig chain = rubbos_app_config(hw, soft, /*seed=*/1, max_vms_per_tier);
-    std::vector<ntier::ServiceNode> nodes;
-    nodes.push_back({chain.tiers[0], ntier::NodeRole::kWeb});
-    nodes.push_back({chain.tiers[1], ntier::NodeRole::kApp});
-    nodes.push_back({haproxy_tier_config(), ntier::NodeRole::kLb});
-    nodes.push_back({chain.tiers[2], ntier::NodeRole::kDb});
+    std::vector<ntier::ServiceNode> nodes = {
+        node("apache", ntier::NodeRole::kWeb), node("tomcat", ntier::NodeRole::kApp),
+        node("haproxy", ntier::NodeRole::kLb), node("mysql", ntier::NodeRole::kDb)};
     std::vector<ntier::ServiceEdge> edges;
     edges.push_back({0, 1, 1, false, 1.0, 0, false});
     // Each app-tier query takes one LB hop; the app's DBConnP throttles the
@@ -222,7 +180,7 @@ ntier::ServiceGraph build_service_graph(const TopologySpec& spec, HardwareConfig
     if (!ids.emplace(n.name, static_cast<int>(nodes.size())).second) {
       spec_error("duplicate node name '" + n.name + "'");
     }
-    nodes.push_back({graph_node_tier(n.name, role, hw, soft, max_vms_per_tier), role});
+    nodes.push_back(node(n.name, role));
   }
   std::vector<ntier::ServiceEdge> edges;
   edges.reserve(spec.edges.size());
@@ -254,34 +212,13 @@ ntier::ServiceGraph rubbos_4tier_graph(HardwareConfig hw, SoftAllocation soft,
   return build_service_graph(spec, hw, soft, max_vms_per_tier);
 }
 
-ntier::AppConfig mysql_only_app_config(int worker_cap, uint64_t seed) {
-  DCM_CHECK(worker_cap >= 1);
-  ntier::AppConfig config;
-  config.seed = seed;
-  ntier::TierConfig db;
-  db.name = "mysql";
-  db.server.cpu = mysql_cpu_model();
+ntier::ServiceGraph mysql_only_graph(int worker_cap) {
+  if (worker_cap < 1) spec_error("worker_cap must be >= 1, got " + std::to_string(worker_cap));
+  // One VM, never scaled.
+  ntier::TierConfig db = graph_node_tier("mysql", ntier::NodeRole::kDb, {}, {},
+                                         /*max_vms_per_tier=*/1);
   db.server.max_threads = worker_cap;
-  db.server.downstream_connections = 0;
-  db.server.pre_fraction = 1.0;
-  db.server.demand_cv = 0.25;
-  db.initial_vms = 1;
-  db.min_vms = 1;
-  db.max_vms = 1;
-  config.tiers = {db};
-  return config;
-}
-
-workload::RequestFactory mysql_query_factory(const workload::ServletCatalog& catalog) {
-  return [&catalog](sim::Arena* arena, uint64_t id, Rng& rng, sim::SimTime now) {
-    const auto& servlet = catalog.servlet(catalog.sample(rng));
-    auto req = ntier::make_request_context(arena);
-    req->id = id;
-    req->created = now;
-    req->demand_scale = {servlet.db_scale};
-    req->downstream_calls = {0};
-    return req;
-  };
+  return ntier::ServiceGraph({{db, ntier::NodeRole::kDb}}, {});
 }
 
 model::ConcurrencyModel tomcat_reference_model(int servers) {

@@ -7,15 +7,11 @@
 // is as sharp as the measured system's (see DESIGN.md §3).
 #pragma once
 
-#include <cstdint>
 #include <string>
 #include <vector>
 
 #include "model/concurrency_model.h"
-#include "ntier/app.h"
 #include "ntier/service_graph.h"
-#include "workload/closed_loop.h"
-#include "workload/servlet.h"
 
 namespace dcm::core {
 
@@ -48,10 +44,6 @@ struct SoftAllocation {
   bool operator==(const SoftAllocation&) const = default;
 };
 
-/// Builds the 3-tier RUBBoS-like deployment (web/app/db).
-ntier::AppConfig rubbos_app_config(HardwareConfig hw, SoftAllocation soft, uint64_t seed = 1,
-                                   int max_vms_per_tier = 8);
-
 /// Declarative deployment shape. The two canonical chains are built-in
 /// (kChain3 = web/app/db, kChain4 = web/app/db-lb/db with the HAProxy hop);
 /// kGraph materializes an arbitrary DAG from named nodes with roles and
@@ -82,10 +74,13 @@ struct TopologySpec {
 };
 
 /// Materializes a TopologySpec into a validated ServiceGraph with the
-/// calibrated per-role tier templates (hardware counts and soft allocations
-/// applied as in rubbos_app_config; the managed edge's pool gets
-/// soft.db_connections). Throws std::runtime_error on an invalid spec
-/// (unknown role, duplicate/undeclared node names, cycles, ...).
+/// calibrated per-role tier templates (hardware counts set the web/app/db
+/// roles' initial VMs, soft allocations their thread pools; the managed
+/// edge's pool gets soft.db_connections). The default spec (kChain3) is the
+/// paper's 3-tier RUBBoS deployment apache → tomcat → mysql. Throws
+/// std::runtime_error on a hardware count, soft allocation or
+/// max_vms_per_tier below 1, and on an invalid spec (unknown role,
+/// duplicate/undeclared node names, cycles, ...).
 ntier::ServiceGraph build_service_graph(const TopologySpec& spec, HardwareConfig hw,
                                         SoftAllocation soft, int max_vms_per_tier = 8);
 
@@ -96,14 +91,12 @@ ntier::ServiceGraph build_service_graph(const TopologySpec& spec, HardwareConfig
 ntier::ServiceGraph rubbos_4tier_graph(HardwareConfig hw, SoftAllocation soft,
                                        int max_vms_per_tier = 8);
 
-/// Single-tier MySQL deployment for the Fig. 2(a) stress experiment: the
-/// worker cap is the "matching thread pool size" knob, so the offered JMeter
-/// concurrency is the request processing concurrency.
-ntier::AppConfig mysql_only_app_config(int worker_cap = 1000, uint64_t seed = 1);
-
-/// Request factory issuing raw single-query requests against the MySQL-only
-/// deployment (demand profile drawn from the catalog's servlets).
-workload::RequestFactory mysql_query_factory(const workload::ServletCatalog& catalog);
+/// Single-node MySQL deployment (one kDb node, one VM) for the Fig. 2(a)
+/// stress experiment: the worker cap is the "matching thread pool size"
+/// knob, so the offered JMeter concurrency is the request processing
+/// concurrency. Each request is one query with the sampled servlet's
+/// per-query demand scale.
+ntier::ServiceGraph mysql_only_graph(int worker_cap = 1000);
 
 /// Reference concurrency models built from the ground-truth parameters —
 /// what offline training recovers; used to seed DCM in tests/benches that

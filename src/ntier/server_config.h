@@ -1,4 +1,8 @@
-// Per-server configuration.
+// Per-server configuration: the CPU model, the worker thread pool, the
+// accept queue and the pre/post CPU split of a visit. Connection pools toward
+// downstream tiers are not a server knob: they are declared on the
+// ServiceGraph's edges (ServiceEdge::pool_capacity/managed) and reach the
+// server through Tier::set_out_edges.
 #pragma once
 
 #include <string>
@@ -23,11 +27,6 @@ struct ServerConfig {
   /// rejected (done(false)). Large by default: the paper's experiments never
   /// drop, they queue.
   int max_queue = 1'000'000;
-
-  /// Connection pool size toward the downstream tier (Tomcat's DBConnP) of
-  /// an AppConfig chain tier (see Tier::set_downstream). Graph apps declare
-  /// pools on their edges (ServiceEdge::pool_capacity) and ignore this.
-  int downstream_connections = 80;
 
   /// Fraction of a visit's CPU demand executed before downstream calls; the
   /// remainder runs after the last call completes.

@@ -99,16 +99,6 @@ ServiceGraph::ServiceGraph(std::vector<ServiceNode> nodes, std::vector<ServiceEd
   visit_ratios_ = model::propagate_visit_ratios(nodes_.size(), visit_edges);
 }
 
-bool ServiceGraph::is_chain() const {
-  if (edges_.size() + 1 != nodes_.size()) return false;
-  for (size_t i = 0; i < edges_.size(); ++i) {
-    if (edges_[i].from != static_cast<int>(i) || edges_[i].to != static_cast<int>(i) + 1) {
-      return false;
-    }
-  }
-  return true;
-}
-
 int ServiceGraph::first_node_with_role(NodeRole role) const {
   for (size_t i = 0; i < nodes_.size(); ++i) {
     if (nodes_[i].role == role) return static_cast<int>(i);

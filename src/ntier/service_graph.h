@@ -24,13 +24,12 @@
 // post-processing CPU phase only after every edge settles; any sub-request
 // failure fails the whole visit once outstanding branches drain. A node with
 // one out-edge is the one-branch case. Connection pools are declared only on
-// edges (pool_capacity/managed); the tier template's downstream_connections
-// is ignored.
+// edges (pool_capacity/managed).
 //
-// A chain declared in depth order (edge i = depth i → depth i+1) is the
-// degenerate case and reproduces the AppConfig chain bit-for-bit: edge id
-// equals the issuing tier's depth, so per-edge request plans coincide with
-// the chain's per-tier hop lists.
+// Every deployment is a ServiceGraph: NTierApp has no other constructor, and
+// workload::graph_request_factory is the one request planner. The paper's
+// chain (core::build_service_graph, kChain3) is the degenerate case whose
+// edge i connects depth i to depth i+1.
 #pragma once
 
 #include <cstddef>
@@ -100,11 +99,6 @@ class ServiceGraph {
 
   /// Path-multiplied static visit ratios, V_0 = 1 at the root.
   const std::vector<double>& visit_ratios() const { return visit_ratios_; }
-
-  /// True when the graph is a linear chain declared in depth order
-  /// (edge i connects node i → node i+1) — the degenerate case equivalent
-  /// to the AppConfig chain wiring.
-  bool is_chain() const;
 
   /// Lowest-id node with the given role, or -1.
   int first_node_with_role(NodeRole role) const;

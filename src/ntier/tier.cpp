@@ -13,18 +13,12 @@ Tier::Tier(sim::Engine& engine, TierConfig config, int depth, Rng& rng)
       depth_(depth),
       rng_(rng.fork()),
       balancer_(config_.lb_policy),
-      current_stp_(config_.server.max_threads),
-      current_conns_(config_.server.downstream_connections) {
+      current_stp_(config_.server.max_threads) {
   DCM_CHECK(config_.initial_vms >= 1);
   DCM_CHECK(config_.min_vms >= 1);
   DCM_CHECK(config_.max_vms >= config_.initial_vms);
   DCM_CHECK(config_.min_vms <= config_.initial_vms);
   for (int i = 0; i < config_.initial_vms; ++i) launch_vm(/*boot_delay=*/0);
-}
-
-void Tier::set_downstream(Tier* tier) {
-  const int pool = config_.server.downstream_connections;
-  set_out_edges({OutEdge{tier, depth_, pool, pool > 0}});
 }
 
 void Tier::set_out_edges(std::vector<OutEdge> edges) {

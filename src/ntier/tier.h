@@ -3,7 +3,9 @@
 // Owns the VM lifecycle (scale_out boots a VM that joins the balancer after
 // the preparation period; scale_in drains the most recent ACTIVE VM) and
 // fans soft-resource re-allocations out to every server, remembering the
-// current allocation so later-booting VMs inherit it.
+// current allocation so later-booting VMs inherit it. Its out-edges (and any
+// connection pool on them) come from its ServiceGraph node via
+// set_out_edges, the one wiring call; NTierApp makes it.
 //
 // Resilience (opt-in, off by default): enable_health_checks() starts a
 // periodic probe sweep that ejects FAILED VMs from the balancer and launches
@@ -120,10 +122,6 @@ class Tier {
   /// managed edge's pool sized to the tier's current connection allocation.
   void set_out_edges(std::vector<OutEdge> edges);
 
-  /// AppConfig chain shorthand: one edge to `tier` with edge id = depth and
-  /// the template's downstream_connections as its pool (managed iff > 0).
-  void set_downstream(Tier* tier);
-
   /// Routes one visit through the load balancer. done(false) if no server
   /// is in service.
   void dispatch(const RequestPtr& request, DoneFn done);
@@ -213,7 +211,7 @@ class Tier {
   std::vector<std::unique_ptr<Vm>> vms_;
   int next_vm_index_ = 0;
   int current_stp_;
-  int current_conns_;
+  int current_conns_ = 0;  // the managed out-edge's pool size; 0 without one
   SubRequestRetryPolicy retry_policy_;
   std::vector<std::function<void(Vm&)>> vm_activated_;
 

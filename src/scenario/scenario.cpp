@@ -334,6 +334,72 @@ void reject_unknown_keys(const Config& config, WorkloadDecl::Kind workload,
   }
 }
 
+// Rejects a value outside its key's domain with an error naming
+// [section] key, so a hostile scenario fails here instead of aborting the
+// run deep inside the simulator (or silently running as a default). Every
+// field is checked, set or not: the defaults all lie inside their domains.
+void check_domains(const Scenario& s) {
+  // The error text is built only on failure: parsing a valid scenario
+  // allocates nothing here.
+  const auto reject = [](const char* key, const std::string& domain, const std::string& got) {
+    fail(std::string(key) + " must be " + domain + ", got " + got);
+  };
+  const auto at_least = [&](const char* key, int value, int min) {
+    if (value < min) reject(key, ">= " + format_int(min), format_int(value));
+  };
+  const auto check = [&](bool ok, const char* key, const char* domain, double value) {
+    if (!ok) reject(key, domain, format_double(value));
+  };
+  // Times are capped at 1e9 s (~31 years) so every one converts to SimTime
+  // (int64 ns) without overflow; periods must also be at least 1 ns, the
+  // smallest nonzero SimTime. NaN fails every comparison.
+  const auto seconds = [&](const char* key, double value) {
+    check(value >= 0.0 && value <= 1e9, key, "in [0, 1e9]", value);
+  };
+  const auto period = [&](const char* key, double value) {
+    check(value >= 1e-9 && value <= 1e9, key, "in [1e-9, 1e9]", value);
+  };
+
+  at_least("[hardware] web", s.hardware.web, 1);
+  at_least("[hardware] app", s.hardware.app, 1);
+  at_least("[hardware] db", s.hardware.db, 1);
+  at_least("[soft] web_threads", s.soft.web_threads, 1);
+  at_least("[soft] app_threads", s.soft.app_threads, 1);
+  at_least("[soft] db_connections", s.soft.db_connections, 1);
+
+  at_least("[workload] users", s.workload.users, 0);
+  period("[workload] think_seconds", s.workload.think_seconds);
+  at_least("[workload] peak_users", s.workload.peak_users, 1);
+  period("[controller] control_period", s.controller.control_period_seconds);
+
+  seconds("[faults] crash_mttf", s.faults.crash_mttf);
+  seconds("[faults] slowdown_mttf", s.faults.slowdown_mttf);
+  check(s.faults.slowdown_factor > 0.0 && s.faults.slowdown_factor <= 1.0,
+        "[faults] slowdown_factor", "in (0, 1]", s.faults.slowdown_factor);
+  seconds("[faults] slowdown_duration", s.faults.slowdown_duration);
+  seconds("[faults] telemetry_loss_mttf", s.faults.telemetry_loss_mttf);
+  seconds("[faults] telemetry_loss_duration", s.faults.telemetry_loss_duration);
+  seconds("[faults] agent_silence_mttf", s.faults.agent_silence_mttf);
+  seconds("[faults] agent_silence_duration", s.faults.agent_silence_duration);
+
+  const ResilienceDecl& res = s.resilience;
+  seconds("[resilience] client_timeout", res.client_timeout);
+  at_least("[resilience] client_retries", res.client_retries, 0);
+  seconds("[resilience] client_backoff", res.client_backoff);
+  seconds("[resilience] subrequest_timeout", res.subrequest_timeout);
+  at_least("[resilience] subrequest_retries", res.subrequest_retries, 0);
+  period("[resilience] health_period", res.health_period);
+  at_least("[resilience] health_failure_threshold", res.health_failure_threshold, 1);
+  at_least("[resilience] watchdog_periods", res.watchdog_periods, 0);
+  check(res.min_fit_r2 >= 0.0 && res.min_fit_r2 <= 1.0, "[resilience] min_fit_r2", "in [0, 1]",
+        res.min_fit_r2);
+
+  period("[run] duration", s.duration_seconds);
+  check(s.warmup_seconds >= 0.0 && s.warmup_seconds < s.duration_seconds, "[run] warmup",
+        "in [0, duration)", s.warmup_seconds);
+  at_least("[run] max_vms", s.max_vms, 1);
+}
+
 }  // namespace
 
 bool scenario_key_applies(const Config& config, const std::string& section,
@@ -468,6 +534,7 @@ Scenario Scenario::from_config(const Config& config) {
   read(config, "run", "max_vms", scenario.max_vms);
   scenario.seed = static_cast<uint64_t>(config.get_int("run", "seed", 1));
 
+  check_domains(scenario);
   if (scenario.topology.kind == core::TopologySpec::Kind::kGraph) {
     // Eager validation: building the ServiceGraph rejects duplicate names,
     // unknown roles/endpoints, cycles, unreachable nodes and oversized

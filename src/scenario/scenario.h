@@ -76,36 +76,38 @@ struct ControllerDecl {
 
 /// Declarative fault schedule rates ([faults] section). All-zero MTTFs (the
 /// default) mean a healthy run; the concrete event schedule derives from
-/// the run's root seed, so it is never spelled out in the scenario.
+/// the run's root seed, so it is never spelled out in the scenario. Every
+/// default comes from fault::FaultSpec.
 struct FaultDecl {
-  double crash_mttf = 0.0;
-  double slowdown_mttf = 0.0;
-  double slowdown_factor = 0.25;
-  double slowdown_duration = 30.0;
-  double telemetry_loss_mttf = 0.0;
-  double telemetry_loss_duration = 30.0;
-  double agent_silence_mttf = 0.0;
-  double agent_silence_duration = 30.0;
+  double crash_mttf = fault::FaultSpec{}.crash_mttf_seconds;
+  double slowdown_mttf = fault::FaultSpec{}.slowdown_mttf_seconds;
+  double slowdown_factor = fault::FaultSpec{}.slowdown_factor;
+  double slowdown_duration = fault::FaultSpec{}.slowdown_duration_seconds;
+  double telemetry_loss_mttf = fault::FaultSpec{}.telemetry_loss_mttf_seconds;
+  double telemetry_loss_duration = fault::FaultSpec{}.telemetry_loss_duration_seconds;
+  double agent_silence_mttf = fault::FaultSpec{}.agent_silence_mttf_seconds;
+  double agent_silence_duration = fault::FaultSpec{}.agent_silence_duration_seconds;
 
   bool operator==(const FaultDecl&) const = default;
 };
 
 /// Declarative resilience switchboard ([resilience] section). Detail keys
 /// are only part of the vocabulary when enabled=true; the watchdog keys
-/// additionally require the dcm controller.
+/// additionally require the dcm controller. Every default comes from
+/// core::ResilienceSpec.
 struct ResilienceDecl {
-  bool enabled = false;
-  double client_timeout = 2.0;
-  int client_retries = 2;
-  double client_backoff = 0.25;
-  double subrequest_timeout = 1.0;
-  int subrequest_retries = 1;
-  double health_period = 5.0;
-  int health_failure_threshold = 3;
-  bool replace_failed = true;
-  // kDcm only:
-  int watchdog_periods = 2;
-  double min_fit_r2 = 0.0;
+  bool enabled = core::ResilienceSpec{}.enabled;
+  double client_timeout = core::ResilienceSpec{}.client_timeout_seconds;
+  int client_retries = core::ResilienceSpec{}.client_retries;
+  double client_backoff = core::ResilienceSpec{}.client_backoff_seconds;
+  double subrequest_timeout = core::ResilienceSpec{}.subrequest_timeout_seconds;
+  int subrequest_retries = core::ResilienceSpec{}.subrequest_retries;
+  double health_period = core::ResilienceSpec{}.health_period_seconds;
+  int health_failure_threshold = core::ResilienceSpec{}.health_failure_threshold;
+  bool replace_failed = core::ResilienceSpec{}.replace_failed;
+  // dcm only:
+  int watchdog_periods = core::ResilienceSpec{}.watchdog_periods;
+  double min_fit_r2 = core::ResilienceSpec{}.min_fit_r2;
 
   bool operator==(const ResilienceDecl&) const = default;
 };

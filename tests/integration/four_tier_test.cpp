@@ -11,18 +11,6 @@
 namespace dcm {
 namespace {
 
-std::unique_ptr<workload::ClosedLoopGenerator> make_4tier_clients(
-    sim::Engine& engine, ntier::NTierApp& app, const workload::ServletCatalog& catalog,
-    int users) {
-  workload::ClosedLoopConfig config;
-  config.users = users;
-  config.think_time = sim::make_exponential(3.0);
-  config.seed = 77;
-  return std::make_unique<workload::ClosedLoopGenerator>(
-      engine, app, workload::graph_request_factory(catalog, *app.graph()),
-      std::move(config));
-}
-
 TEST(FourTierTest, TopologyHasFourTiersWithLbBetweenAppAndDb) {
   sim::Engine engine;
   ntier::NTierApp app(engine, core::rubbos_4tier_graph({1, 1, 1}, {1000, 100, 80}), 1);
@@ -31,18 +19,15 @@ TEST(FourTierTest, TopologyHasFourTiersWithLbBetweenAppAndDb) {
   EXPECT_EQ(app.tier(1).name(), "tomcat");
   EXPECT_EQ(app.tier(2).name(), "haproxy");
   EXPECT_EQ(app.tier(3).name(), "mysql");
-  // The chain-shaped graph is recognized as the degenerate DAG.
-  ASSERT_NE(app.graph(), nullptr);
-  EXPECT_TRUE(app.graph()->is_chain());
-  ASSERT_EQ(app.graph()->edge_count(), 3u);
-  EXPECT_TRUE(app.graph()->edge(1).managed);
+  ASSERT_EQ(app.graph().edge_count(), 3u);
+  EXPECT_TRUE(app.graph().edge(1).managed);
 }
 
 TEST(FourTierTest, RequestsFlowThroughAllFourTiers) {
   sim::Engine engine;
   ntier::NTierApp app(engine, core::rubbos_4tier_graph({1, 1, 1}, {1000, 100, 80}), 1);
   const workload::ServletCatalog catalog = workload::ServletCatalog::browse_only_mix();
-  auto generator = make_4tier_clients(engine, app, catalog, 100);
+  auto generator = workload::make_rubbos_clients(engine, app, catalog, 100, 3.0, 77);
   generator->start();
   engine.run_until(sim::from_seconds(60.0));
 
@@ -62,7 +47,8 @@ TEST(FourTierTest, LbTierAddsNegligibleLatency) {
   double rt3, rt4;
   {
     sim::Engine engine;
-    ntier::NTierApp app(engine, core::rubbos_app_config({1, 1, 1}, {1000, 100, 80}));
+    ntier::NTierApp app(engine, core::build_service_graph({}, {1, 1, 1}, {1000, 100, 80}),
+                        /*seed=*/1);
     auto generator = workload::make_rubbos_clients(engine, app, catalog, 100, 3.0, 77);
     generator->start();
     engine.run_until(sim::from_seconds(90.0));
@@ -71,7 +57,7 @@ TEST(FourTierTest, LbTierAddsNegligibleLatency) {
   {
     sim::Engine engine;
     ntier::NTierApp app(engine, core::rubbos_4tier_graph({1, 1, 1}, {1000, 100, 80}), 1);
-    auto generator = make_4tier_clients(engine, app, catalog, 100);
+    auto generator = workload::make_rubbos_clients(engine, app, catalog, 100, 3.0, 77);
     generator->start();
     engine.run_until(sim::from_seconds(90.0));
     rt4 = generator->stats().response_time_stats().mean();
@@ -100,7 +86,7 @@ TEST(FourTierTest, DcmControlsTheDbTierThroughTheLb) {
   // Under saturating load the managed deployment keeps DB concurrency at
   // the optimum even though requests pass through the LB tier.
   const workload::ServletCatalog catalog = workload::ServletCatalog::browse_only_mix();
-  auto generator = make_4tier_clients(engine, app, catalog, 500);
+  auto generator = workload::make_rubbos_clients(engine, app, catalog, 500, 3.0, 77);
   generator->start();
   int max_db_conc = 0;
   engine.schedule_periodic(sim::kNanosPerSecond, [&] {

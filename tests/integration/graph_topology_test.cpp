@@ -41,14 +41,14 @@ TEST(GraphTopologyTest, DiamondBottleneckRankingAgreesWithEdgeAttribution) {
   ntier::NTierApp app(engine,
                       core::build_service_graph(diamond_spec(), {1, 3, 1}, {1000, 100, 80}),
                       core::experiment_stream_seed(1, core::SeedStream::kTopology));
-  const ntier::ServiceGraph& graph = *app.graph();
+  const ntier::ServiceGraph& graph = app.graph();
   bus::Broker broker;
   ntier::MonitorFleet fleet(engine, app, broker);
 
   const workload::ServletCatalog catalog =
       workload::ServletCatalog::browse_only_mix(core::kDbVisitRatio);
   auto generator = workload::make_rubbos_clients(
-      engine, app, workload::graph_request_factory(catalog, graph), 300, 3.0,
+      engine, app, catalog, 300, 3.0,
       core::experiment_stream_seed(1, core::SeedStream::kWorkload));
 
   trace::Tracer tracer(core::experiment_stream_seed(1, core::SeedStream::kTrace),
@@ -94,6 +94,36 @@ TEST(GraphTopologyTest, DiamondBottleneckRankingAgreesWithEdgeAttribution) {
   EXPECT_EQ(graph.edge(static_cast<size_t>(dominant->edge)).to, ranking.bottleneck_tier);
 }
 
+// The catalog generators plan every request from the app's own graph, so a
+// RUBBoS client population reaches every node of any shape, and each node
+// sees its forced-flow share: V_m visits per completed request (the lb hop
+// and the db forward the servlet's queries, a fixed-call cache gets 1).
+TEST(GraphTopologyTest, CatalogClientsReachEveryNodeOfAnyGraph) {
+  const workload::ServletCatalog catalog =
+      workload::ServletCatalog::browse_only_mix(core::kDbVisitRatio);
+  for (const bool diamond : {false, true}) {
+    sim::Engine engine;
+    ntier::NTierApp app(engine,
+                        diamond ? core::build_service_graph(diamond_spec(), {1, 1, 1},
+                                                            {1000, 100, 80})
+                                : core::rubbos_4tier_graph({1, 1, 1}, {1000, 100, 80}),
+                        /*seed=*/1);
+    auto generator = workload::make_rubbos_clients(engine, app, catalog, 50);
+    generator->start();
+    engine.run_until(sim::from_seconds(60.0));
+
+    const double completed = static_cast<double>(generator->stats().completed());
+    ASSERT_GT(completed, 500.0) << (diamond ? "diamond" : "chain4");
+    EXPECT_EQ(generator->stats().errors(), 0u);
+    for (size_t i = 0; i < app.tier_count(); ++i) {
+      const double visits = app.graph().visit_ratios()[i];
+      EXPECT_NEAR(static_cast<double>(app.tier(i).completed()) / completed, visits,
+                  0.15 * visits)
+          << app.tier(i).name() << (diamond ? " (diamond)" : " (chain4)");
+    }
+  }
+}
+
 // Fan-out wider than the legacy chain's 3 hops: five concurrent branches
 // joined synchronously. Regression for the per-request inline arrays
 // (request.h) — a plan this wide overflowed the old per-tier sizing.
@@ -110,8 +140,7 @@ TEST(GraphTopologyTest, FiveWayFanOutJoinsCleanly) {
   ntier::NTierApp app(engine, core::build_service_graph(spec, {1, 1, 1}, {1000, 100, 80}), 7);
   const workload::ServletCatalog catalog =
       workload::ServletCatalog::browse_only_mix(core::kDbVisitRatio);
-  auto generator = workload::make_rubbos_clients(
-      engine, app, workload::graph_request_factory(catalog, *app.graph()), 50, 3.0, 11);
+  auto generator = workload::make_rubbos_clients(engine, app, catalog, 50, 3.0, 11);
   generator->start();
   engine.run_until(sim::from_seconds(60.0));
 
@@ -139,11 +168,9 @@ TEST(GraphTopologyTest, TenNodeChainRunsEndToEnd) {
 
   sim::Engine engine;
   ntier::NTierApp app(engine, core::build_service_graph(spec, {1, 1, 1}, {1000, 100, 80}), 3);
-  EXPECT_TRUE(app.graph()->is_chain());
   const workload::ServletCatalog catalog =
       workload::ServletCatalog::browse_only_mix(core::kDbVisitRatio);
-  auto generator = workload::make_rubbos_clients(
-      engine, app, workload::graph_request_factory(catalog, *app.graph()), 30, 3.0, 5);
+  auto generator = workload::make_rubbos_clients(engine, app, catalog, 30, 3.0, 5);
   generator->start();
   engine.run_until(sim::from_seconds(60.0));
 

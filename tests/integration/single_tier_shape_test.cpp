@@ -11,18 +11,15 @@ namespace {
 
 double mysql_only_throughput(int concurrency, double seconds = 40.0) {
   sim::Engine engine;
-  ntier::NTierApp app(engine, core::mysql_only_app_config(/*worker_cap=*/concurrency));
+  ntier::NTierApp app(engine, core::mysql_only_graph(/*worker_cap=*/concurrency), /*seed=*/1);
   const workload::ServletCatalog catalog = workload::ServletCatalog::browse_only_mix();
-  workload::ClosedLoopConfig config;
-  config.users = concurrency;
-  config.seed = 1000 + static_cast<uint64_t>(concurrency);
-  workload::ClosedLoopGenerator generator(engine, app, core::mysql_query_factory(catalog),
-                                          std::move(config));
-  generator.start();
+  auto generator = workload::make_jmeter(engine, app, catalog, /*users=*/concurrency,
+                                        /*seed=*/1000 + static_cast<uint64_t>(concurrency));
+  generator->start();
   const double warmup = 5.0;
   engine.run_until(sim::from_seconds(seconds));
-  return generator.stats().mean_throughput(sim::from_seconds(warmup),
-                                           sim::from_seconds(seconds));
+  return generator->stats().mean_throughput(sim::from_seconds(warmup),
+                                            sim::from_seconds(seconds));
 }
 
 TEST(SingleTierShapeTest, ThroughputRisesUpToTheKnee) {

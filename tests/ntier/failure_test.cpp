@@ -14,7 +14,6 @@ ServerConfig slow_leaf(int threads = 4) {
   config.name = "leaf";
   config.cpu.params = {0.5, 0.0, 0.0};  // slow: requests stay in flight
   config.max_threads = threads;
-  config.downstream_connections = 0;
   config.pre_fraction = 1.0;
   return config;
 }

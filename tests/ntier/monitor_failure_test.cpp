@@ -11,7 +11,7 @@ namespace {
 
 TEST(MonitorFailureTest, FailedVmStopsPublishing) {
   sim::Engine engine;
-  NTierApp app(engine, core::rubbos_app_config({1, 2, 1}, {1000, 100, 80}));
+  NTierApp app(engine, core::build_service_graph({}, {1, 2, 1}, {1000, 100, 80}), /*seed=*/1);
   bus::Broker broker;
   MonitorFleet fleet(engine, app, broker);
 
@@ -38,7 +38,7 @@ TEST(MonitorFailureTest, FailedVmStopsPublishing) {
 
 TEST(MonitorFailureTest, DrainingVmStillReportsUntilStopped) {
   sim::Engine engine;
-  NTierApp app(engine, core::rubbos_app_config({1, 2, 1}, {1000, 100, 80}));
+  NTierApp app(engine, core::build_service_graph({}, {1, 2, 1}, {1000, 100, 80}), /*seed=*/1);
   bus::Broker broker;
   MonitorFleet fleet(engine, app, broker);
 

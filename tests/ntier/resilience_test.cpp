@@ -15,7 +15,6 @@ ServerConfig slow_leaf(int threads = 4, double service_s = 0.5) {
   config.name = "leaf";
   config.cpu.params = {service_s, 0.0, 0.0};
   config.max_threads = threads;
-  config.downstream_connections = 0;
   config.pre_fraction = 1.0;
   return config;
 }

@@ -13,7 +13,6 @@ ServerConfig leaf_config(double s0 = 0.010, int threads = 4) {
   config.name = "leaf";
   config.cpu.params = {s0, 0.0, 0.0};
   config.max_threads = threads;
-  config.downstream_connections = 0;
   config.pre_fraction = 1.0;
   return config;
 }

@@ -35,7 +35,6 @@ TEST(ServiceGraphTest, Chain3LowersToDegenerateGraph) {
       {core::TopologySpec::Kind::kChain3, {}, {}}, {1, 2, 1}, {1000, 100, 80});
   ASSERT_EQ(graph.node_count(), 3u);
   ASSERT_EQ(graph.edge_count(), 2u);
-  EXPECT_TRUE(graph.is_chain());
   EXPECT_EQ(graph.node(0).role, NodeRole::kWeb);
   EXPECT_EQ(graph.node(1).role, NodeRole::kApp);
   EXPECT_EQ(graph.node(2).role, NodeRole::kDb);
@@ -53,7 +52,6 @@ TEST(ServiceGraphTest, Chain4AddsTheHaproxyHop) {
   const ServiceGraph graph = core::rubbos_4tier_graph({1, 1, 1}, {1000, 100, 80});
   ASSERT_EQ(graph.node_count(), 4u);
   ASSERT_EQ(graph.edge_count(), 3u);
-  EXPECT_TRUE(graph.is_chain());
   EXPECT_EQ(graph.node(2).role, NodeRole::kLb);
   EXPECT_EQ(graph.node(3).role, NodeRole::kDb);
   // The lb hop forwards each of the app tier's q queries one-for-one.
@@ -70,7 +68,6 @@ TEST(ServiceGraphTest, DiamondFanOutOrderAndRatios) {
                 {"tomcat", "memcache", 1, false, false},
                 {"tomcat", "mysql", 0, true, true}};
   const ServiceGraph graph = core::build_service_graph(spec, {1, 3, 1}, {1000, 100, 80});
-  EXPECT_FALSE(graph.is_chain());
   ASSERT_EQ(graph.out_edges(1).size(), 2u);
   // Declaration order = issue order = edge ids.
   EXPECT_EQ(graph.out_edges(1)[0], 1);
@@ -81,8 +78,7 @@ TEST(ServiceGraphTest, DiamondFanOutOrderAndRatios) {
   EXPECT_DOUBLE_EQ(graph.visit_ratios()[2], 1.0);
   EXPECT_DOUBLE_EQ(graph.visit_ratios()[3], core::kDbVisitRatio);
   EXPECT_EQ(graph.managed_edge(), 2);
-  // The fan-out node keeps per-edge pools, not the legacy tier-wide conns.
-  EXPECT_EQ(graph.node(1).tier.server.downstream_connections, 0);
+  // The fan-out node's pool lives on its managed edge.
   EXPECT_EQ(graph.edge(2).pool_capacity, 80);
 }
 
@@ -97,7 +93,6 @@ TEST(ServiceGraphTest, LongChainsBeyondTheLegacyTierCapAreAccepted) {
     if (i > 0) edges.push_back(call(i - 1, i));
   }
   const ServiceGraph graph(nodes, edges);
-  EXPECT_TRUE(graph.is_chain());
   EXPECT_DOUBLE_EQ(graph.visit_ratios()[9], 1.0);
 }
 
@@ -174,9 +169,31 @@ TEST(ServiceGraphTest, BuildRejectsBadSpecs) {
                std::runtime_error);  // undeclared endpoint
 }
 
+// Counts below 1 would build tiers or pools with no capacity; the builders
+// refuse them with an error instead of aborting inside Tier/SlotPool.
+TEST(ServiceGraphTest, BuildRejectsNonPositiveCounts) {
+  const core::TopologySpec chain3;
+  EXPECT_THROW(core::build_service_graph(chain3, {0, 1, 1}, {1000, 100, 80}),
+               std::runtime_error);
+  EXPECT_THROW(core::build_service_graph(chain3, {1, 1, 1}, {0, 100, 80}), std::runtime_error);
+  EXPECT_THROW(core::build_service_graph(chain3, {1, 1, 1}, {1000, 100, 0}),
+               std::runtime_error);
+  EXPECT_THROW(core::build_service_graph(chain3, {1, 1, 1}, {1000, 100, 80}, 0),
+               std::runtime_error);
+  EXPECT_THROW(core::mysql_only_graph(0), std::runtime_error);
+}
+
+TEST(ServiceGraphTest, MysqlOnlyGraphIsOneUnscaledDbNode) {
+  const ServiceGraph graph = core::mysql_only_graph(40);
+  ASSERT_EQ(graph.node_count(), 1u);
+  EXPECT_EQ(graph.edge_count(), 0u);
+  EXPECT_EQ(graph.node(0).role, NodeRole::kDb);
+  EXPECT_EQ(graph.node(0).tier.server.max_threads, 40);
+  EXPECT_EQ(graph.node(0).tier.max_vms, 1);
+}
+
 // A single-edge graph node takes its connection pool from the edge alone:
-// the TierConfig templates keep their default downstream_connections (80),
-// which a graph app must ignore.
+// pooled edges cap the callee's concurrency, unpooled ones do not.
 TEST(ServiceGraphTest, SingleEdgeNodeHonoursItsEdgePool) {
   struct Outcome {
     bool has_pool = false;

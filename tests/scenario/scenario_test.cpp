@@ -507,6 +507,87 @@ TEST(ScenarioTest, ZooTuningValuesAreValidated) {
   EXPECT_THROW(Scenario::parse("[controller]\nkind=pi\ndeadband=-0.5\n"), std::runtime_error);
 }
 
+// Every hostile value fails at parse with an error naming its [section]
+// key; before these checks each one aborted the run (SIGABRT deep in the
+// simulator) or ran silently as a default. Each case overrides one key of a
+// registered scenario (plus the gate the key needs to apply).
+TEST(ScenarioTest, HostileValuesAreRejectedNamingTheirKey) {
+  struct Case {
+    const char* base;
+    Overrides overrides;
+    const char* key;
+  };
+  const Overrides resilient = {{"resilience.enabled", "true"}};
+  const auto with = [](Overrides base, const char* path, const char* value) {
+    base.emplace_back(path, value);
+    return base;
+  };
+  const std::vector<Case> cases = {
+      {"quickstart", {{"hardware.web", "0"}}, "[hardware] web"},
+      {"quickstart", {{"hardware.app", "-1"}}, "[hardware] app"},
+      {"quickstart", {{"hardware.db", "0"}}, "[hardware] db"},
+      {"diamond-cache", {{"soft.web_threads", "0"}}, "[soft] web_threads"},
+      {"quickstart", {{"soft.app_threads", "0"}}, "[soft] app_threads"},
+      {"quickstart", {{"soft.db_connections", "0"}}, "[soft] db_connections"},
+      {"quickstart", {{"workload.users", "-1"}}, "[workload] users"},
+      {"quickstart", {{"workload.think_seconds", "0"}}, "[workload] think_seconds"},
+      {"fig5", {{"workload.peak_users", "0"}}, "[workload] peak_users"},
+      {"fig5", {{"controller.control_period", "0"}}, "[controller] control_period"},
+      {"fig5", {{"controller.control_period", "1e-12"}}, "[controller] control_period"},
+      {"quickstart", {{"faults.crash_mttf", "-5"}}, "[faults] crash_mttf"},
+      {"quickstart", {{"faults.slowdown_mttf", "-1"}}, "[faults] slowdown_mttf"},
+      {"quickstart", {{"faults.slowdown_factor", "0"}}, "[faults] slowdown_factor"},
+      {"quickstart", {{"faults.slowdown_factor", "1.5"}}, "[faults] slowdown_factor"},
+      {"quickstart", {{"faults.slowdown_duration", "-1"}}, "[faults] slowdown_duration"},
+      {"quickstart", {{"faults.telemetry_loss_mttf", "-1"}}, "[faults] telemetry_loss_mttf"},
+      {"quickstart",
+       {{"faults.telemetry_loss_duration", "-1"}},
+       "[faults] telemetry_loss_duration"},
+      {"quickstart", {{"faults.agent_silence_mttf", "-1"}}, "[faults] agent_silence_mttf"},
+      {"quickstart",
+       {{"faults.agent_silence_duration", "-1"}},
+       "[faults] agent_silence_duration"},
+      {"quickstart", with(resilient, "resilience.client_timeout", "-1"),
+       "[resilience] client_timeout"},
+      {"quickstart", with(resilient, "resilience.client_retries", "-1"),
+       "[resilience] client_retries"},
+      {"quickstart", with(resilient, "resilience.client_backoff", "-1"),
+       "[resilience] client_backoff"},
+      {"quickstart", with(resilient, "resilience.subrequest_timeout", "-1"),
+       "[resilience] subrequest_timeout"},
+      {"quickstart", with(resilient, "resilience.subrequest_retries", "-1"),
+       "[resilience] subrequest_retries"},
+      {"quickstart", with(resilient, "resilience.health_period", "0"),
+       "[resilience] health_period"},
+      {"quickstart", with(resilient, "resilience.health_failure_threshold", "0"),
+       "[resilience] health_failure_threshold"},
+      {"fig5", with(resilient, "resilience.watchdog_periods", "-1"),
+       "[resilience] watchdog_periods"},
+      {"fig5", with(resilient, "resilience.min_fit_r2", "1.5"), "[resilience] min_fit_r2"},
+      {"quickstart", {{"run.duration", "0"}}, "[run] duration"},
+      {"quickstart", {{"run.duration", "1e12"}}, "[run] duration"},  // overflows SimTime
+      {"quickstart", {{"run.warmup", "-1"}}, "[run] warmup"},
+      {"quickstart", {{"run.warmup", "300"}, {"run.duration", "300"}}, "[run] warmup"},
+      {"quickstart", {{"run.max_vms", "0"}}, "[run] max_vms"},
+      {"diamond-cache", {{"run.max_vms", "0"}}, "[run] max_vms"},
+  };
+  for (const Case& c : cases) {
+    const std::string label = std::string(c.base) + " " + c.key;
+    try {
+      apply_overrides(get_scenario(c.base), c.overrides);
+      ADD_FAILURE() << label << ": accepted";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(std::string(c.key) + " must be"), std::string::npos)
+          << label << ": " << e.what();
+    }
+  }
+  // NaN lies outside every domain.
+  EXPECT_THROW(apply_overrides(get_scenario("quickstart"), {{"run.duration", "nan"}}),
+               std::runtime_error);
+  EXPECT_THROW(apply_overrides(get_scenario("quickstart"), {{"faults.crash_mttf", "nan"}}),
+               std::runtime_error);
+}
+
 TEST(ScenarioTest, KeyAppliesFollowsZooKinds) {
   Config config;
   config.set("controller", "kind", "predictive");

@@ -150,7 +150,8 @@ TEST(AllocationFreeTest, ThreeTierRoundTripIsAllocationFreeAtSteadyState) {
     }
   };
   Engine engine;
-  ntier::NTierApp app(engine, core::rubbos_app_config({1, 1, 1}, {1000, 100, 80}));
+  ntier::NTierApp app(engine, core::build_service_graph({}, {1, 1, 1}, {1000, 100, 80}),
+                      /*seed=*/1);
   Driver driver{engine, app};
   driver.issue();  // sequential round trips: each completion issues the next
   engine.run_until(sim::from_seconds(5.0));

@@ -70,4 +70,18 @@ if(NOT unarmed_rc EQUAL 0)
   message(FATAL_ERROR "tournament --set resilience.enabled=false failed (rc=${unarmed_rc})")
 endif()
 
+# A hostile value is a clean usage error (exit 1, the key named on stderr),
+# never an abort (SIGABRT, exit 134) inside the simulator.
+execute_process(
+  COMMAND ${DCM_RUN} run quickstart --set hardware.web=0 --quiet
+  OUTPUT_QUIET
+  ERROR_VARIABLE hostile_err
+  RESULT_VARIABLE hostile_rc)
+if(NOT hostile_rc EQUAL 1)
+  message(FATAL_ERROR "run quickstart --set hardware.web=0 must exit 1, got rc=${hostile_rc}")
+endif()
+if(NOT hostile_err MATCHES "\\[hardware\\] web")
+  message(FATAL_ERROR "the hostile-value error must name [hardware] web, got: ${hostile_err}")
+endif()
+
 message(STATUS "dcm_run digest labels OK")
