@@ -1,5 +1,7 @@
 #include "common/strings.h"
 
+#include <cerrno>
+#include <charconv>
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
@@ -43,9 +45,25 @@ std::optional<int64_t> parse_int(std::string_view text) {
   if (t.empty()) return std::nullopt;
   std::string buf(t);
   char* end = nullptr;
+  errno = 0;
   const long long value = std::strtoll(buf.c_str(), &end, 10);
-  if (end != buf.c_str() + buf.size()) return std::nullopt;
+  // Out-of-range text would saturate to LLONG_MIN/MAX: reject it instead.
+  if (end != buf.c_str() + buf.size() || errno == ERANGE) return std::nullopt;
   return static_cast<int64_t>(value);
+}
+
+std::optional<uint64_t> parse_uint(std::string_view text) {
+  const std::string_view t = trim(text);
+  uint64_t value = 0;
+  const auto [end, error] = std::from_chars(t.data(), t.data() + t.size(), value);
+  if (t.empty() || error != std::errc() || end != t.data() + t.size()) return std::nullopt;
+  return value;
+}
+
+std::string format_double(double value) {
+  char buf[64];
+  const auto result = std::to_chars(buf, buf + sizeof(buf), value);
+  return std::string(buf, result.ptr);
 }
 
 bool starts_with(std::string_view text, std::string_view prefix) {

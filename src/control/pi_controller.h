@@ -24,8 +24,8 @@
 // The integral is additionally clamped to ±integral_limit as a backstop.
 #pragma once
 
+#include "common/key_row.h"
 #include "control/controller.h"
-#include "control/tuning.h"
 
 namespace dcm::control {
 
@@ -46,12 +46,13 @@ struct PiConfig {
 };
 
 /// Scenario `[controller]` keys for kind = pi.
-inline constexpr TuningKey<PiConfig> kPiTuningKeys[] = {
-    {.name = "target_util", .real = &PiConfig::target_util, .min = 0.0, .max = 1.0,
-     .min_open = true, .max_open = true},
-    {.name = "kp", .real = &PiConfig::kp, .min = 0.0},
-    {.name = "ki", .real = &PiConfig::ki, .min = 0.0},
-    {.name = "deadband", .real = &PiConfig::deadband, .min = 0.0},
+inline constexpr KeyRow<PiConfig> kPiTuningKeys[] = {
+    {.name = "target_util",
+     .field = field_of<&PiConfig::target_util>,
+     .domain = {.min = 0.0, .max = 1.0, .min_open = true, .max_open = true}},
+    {.name = "kp", .field = field_of<&PiConfig::kp>, .domain = {.min = 0.0}},
+    {.name = "ki", .field = field_of<&PiConfig::ki>, .domain = {.min = 0.0}},
+    {.name = "deadband", .field = field_of<&PiConfig::deadband>, .domain = {.min = 0.0}},
 };
 
 class PiController final : public ControllerBase {

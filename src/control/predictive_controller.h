@@ -21,8 +21,8 @@
 // as one period old.
 #pragma once
 
+#include "common/key_row.h"
 #include "control/controller.h"
-#include "control/tuning.h"
 
 namespace dcm::control {
 
@@ -39,11 +39,16 @@ struct PredictiveConfig {
 };
 
 /// Scenario `[controller]` keys for kind = predictive.
-inline constexpr TuningKey<PredictiveConfig> kPredictiveTuningKeys[] = {
-    {.name = "alpha", .real = &PredictiveConfig::level_alpha, .min = 0.0, .max = 1.0,
-     .min_open = true},
-    {.name = "beta", .real = &PredictiveConfig::trend_beta, .min = 0.0, .max = 1.0},
-    {.name = "horizon", .integer = &PredictiveConfig::horizon_periods, .min = 1.0},
+inline constexpr KeyRow<PredictiveConfig> kPredictiveTuningKeys[] = {
+    {.name = "alpha",
+     .field = field_of<&PredictiveConfig::level_alpha>,
+     .domain = {.min = 0.0, .max = 1.0, .min_open = true}},
+    {.name = "beta",
+     .field = field_of<&PredictiveConfig::trend_beta>,
+     .domain = {.min = 0.0, .max = 1.0}},
+    {.name = "horizon",
+     .field = field_of<&PredictiveConfig::horizon_periods>,
+     .domain = {.min = 1.0}},
 };
 
 class PredictiveController final : public ControllerBase {

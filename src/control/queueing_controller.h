@@ -20,8 +20,8 @@
 // capacity-target actuation (booting suppression, slow scale-in streak).
 #pragma once
 
+#include "common/key_row.h"
 #include "control/controller.h"
-#include "control/tuning.h"
 
 namespace dcm::control {
 
@@ -37,9 +37,10 @@ struct QueueingConfig {
 };
 
 /// Scenario `[controller]` keys for kind = queueing.
-inline constexpr TuningKey<QueueingConfig> kQueueingTuningKeys[] = {
-    {.name = "target_util", .real = &QueueingConfig::target_util, .min = 0.0, .max = 1.0,
-     .min_open = true, .max_open = true},
+inline constexpr KeyRow<QueueingConfig> kQueueingTuningKeys[] = {
+    {.name = "target_util",
+     .field = field_of<&QueueingConfig::target_util>,
+     .domain = {.min = 0.0, .max = 1.0, .min_open = true, .max_open = true}},
 };
 
 class QueueingController final : public ControllerBase {

@@ -68,7 +68,9 @@ ntier::TierConfig graph_node_tier(const std::string& name, ntier::NodeRole role,
       tier.max_vms = std::max(hw.db, max_vms_per_tier);
       break;
     case ntier::NodeRole::kLb:
-      return haproxy_tier_config();
+      tier = haproxy_tier_config();
+      tier.name = name;
+      return tier;
     case ntier::NodeRole::kCache:
       tier.server.cpu = cache_cpu_model();
       tier.server.max_threads = 500;

@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/experiment.h"
@@ -37,6 +38,14 @@ class Fnv1a {
  private:
   uint64_t hash_ = 14695981039346656037ull;
 };
+
+/// Minimal JSON string escaping: the fields emitted are identifiers, INI
+/// values and human summaries, so control characters, quotes and
+/// backslashes are all that can occur.
+std::string json_escape(std::string_view text);
+
+/// The JSON spelling of a double: %.17g, which round-trips every value.
+std::string json_number(double value);
 
 /// Mixes a bucketed series: size, then per bucket start/count/mean/min/max.
 void mix_series(Fnv1a& h, const metrics::TimeSeries& series);

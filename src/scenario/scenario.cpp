@@ -1,107 +1,103 @@
 #include "scenario/scenario.h"
 
-#include <charconv>
-#include <map>
+#include <algorithm>
+#include <climits>
+#include <cmath>
+#include <iterator>
+#include <optional>
 #include <set>
 #include <stdexcept>
+#include <string>
+#include <type_traits>
+#include <utility>
+#include <variant>
 #include <vector>
 
+#include "common/key_row.h"
 #include "common/strings.h"
 #include "workload/trace_taxonomy.h"
 
 namespace dcm::scenario {
 namespace {
 
-// Shortest text form that parses back to the exact same double — the
-// canonical number format for scenario emission ("15", "0.8", "2.84e-02").
-std::string format_double(double value) {
-  char buf[64];
-  const auto result = std::to_chars(buf, buf + sizeof(buf), value);
-  return std::string(buf, result.ptr);
-}
-
-std::string format_int(int64_t value) { return std::to_string(value); }
+using Row = KeyRow<Scenario>;
+using TopologyKind = core::TopologySpec::Kind;
 
 [[noreturn]] void fail(const std::string& message) {
   throw std::runtime_error("scenario: " + message);
 }
 
-// Typed reads that fall back to the field's current value, so each default
-// is written once: in the declaration structs, or in the control-layer
-// configs they take their defaults from.
-void read(const Config& config, const std::string& section, const std::string& key,
-          double& field) {
-  field = config.get_double(section, key, field);
+std::string label(const Row& row) { return std::string("[") + row.section + "] " + row.name; }
+
+[[noreturn]] void reject(const Row& row, const std::string& domain, const std::string& got) {
+  fail(label(row) + " must be " + domain + ", got " + got);
 }
 
-void read(const Config& config, const std::string& section, const std::string& key,
-          int& field) {
-  field = static_cast<int>(config.get_int(section, key, field));
-}
+// ---- Structured values: their own parse/format helpers, reached through
+// their rows. Parse errors are std::invalid_argument carrying the reason;
+// the row loop prefixes [section] key.
 
-void read(const Config& config, const std::string& section, const std::string& key,
-          bool& field) {
-  field = config.get_bool(section, key, field);
-}
+[[noreturn]] void malformed(const std::string& reason) { throw std::invalid_argument(reason); }
 
-void read(const Config& config, const std::string& section, const std::string& key,
-          std::string& field) {
-  field = config.get_string(section, key, field);
-}
-
-// Parses an "s0,alpha,beta" model-override triple.
-model::ServiceTimeParams parse_model_triple(const std::string& key, const std::string& value) {
-  std::vector<double> parts;
-  for (const auto& field : split(value, ',')) {
-    const auto parsed = parse_double(std::string(trim(field)));
-    if (!parsed) fail("[controller] " + key + " must be 's0,alpha,beta', got: " + value);
-    parts.push_back(*parsed);
+// An "s0,alpha,beta" model-override triple; nullopt unless it is three
+// finite numbers with valid() Eq. 5 parameters.
+std::optional<model::ServiceTimeParams> parse_model_triple(const std::string& text) {
+  const std::vector<std::string> parts = split(text, ',');
+  if (parts.size() != 3) return std::nullopt;
+  double values[3];
+  for (size_t i = 0; i < 3; ++i) {
+    const auto parsed = parse_double(parts[i]);
+    if (!parsed || !std::isfinite(*parsed)) return std::nullopt;
+    values[i] = *parsed;
   }
-  if (parts.size() != 3) {
-    fail("[controller] " + key + " must be 's0,alpha,beta', got: " + value);
-  }
-  return {parts[0], parts[1], parts[2]};
+  const model::ServiceTimeParams params{values[0], values[1], values[2]};
+  if (!params.valid()) return std::nullopt;
+  return params;
 }
 
-// Validates a model-override triple and returns its canonical spelling, so
+// A stored (normalized) override; a programmatic scenario may hold anything.
+model::ServiceTimeParams model_override(const std::string& text) {
+  const auto params = parse_model_triple(text);
+  if (!params) fail("malformed model override '" + text + "'");
+  return *params;
+}
+
+// Validates a model-override triple and stores its canonical spelling, so
 // stored scenarios are normalization fixed points.
-std::string normalize_model_triple(const std::string& key, const std::string& value) {
-  const model::ServiceTimeParams params = parse_model_triple(key, value);
-  return format_double(params.s0) + "," + format_double(params.alpha) + "," +
-         format_double(params.beta);
+void read_model_triple(std::string& field, const std::string& text) {
+  const auto params = parse_model_triple(text);
+  if (!params) {
+    malformed("must be 's0,alpha,beta' with finite s0 > 0, alpha >= 0, beta >= 0, got " + text);
+  }
+  field = format_double(params->s0) + "," + format_double(params->alpha) + "," +
+          format_double(params->beta);
 }
 
-[[noreturn]] void topology_error(const std::string& message) { fail("[topology] " + message); }
-
-core::TopologySpec::Node parse_topology_node(const std::string& field) {
-  const std::vector<std::string> parts = split(field, ':');
-  if (parts.size() != 2) {
-    topology_error("node '" + field + "' must be 'name:role'");
-  }
+// "name:role".
+core::TopologySpec::Node parse_topology_node(const std::string& text) {
+  const std::vector<std::string> parts = split(text, ':');
   core::TopologySpec::Node node;
-  node.name = std::string(trim(parts[0]));
-  node.role = std::string(trim(parts[1]));
+  if (parts.size() == 2) {
+    node.name = std::string(trim(parts[0]));
+    node.role = std::string(trim(parts[1]));
+  }
   if (node.name.empty() || node.role.empty()) {
-    topology_error("node '" + field + "' must be 'name:role'");
+    malformed("entry '" + text + "' must be 'name:role'");
   }
   return node;
 }
 
-core::TopologySpec::Edge parse_topology_edge(const std::string& field) {
-  // from->to[:calls][:managed]; calls is a non-negative integer or 'q'.
-  const std::vector<std::string> parts = split(field, ':');
-  if (parts.empty() || parts.size() > 3) {
-    topology_error("edge '" + field + "' must be 'from->to:calls[:managed]'");
-  }
+// "from->to[:calls][:managed]"; calls is a non-negative integer or 'q'.
+core::TopologySpec::Edge parse_topology_edge(const std::string& text) {
+  const std::vector<std::string> parts = split(text, ':');
+  if (parts.size() > 3) malformed("entry '" + text + "' must be 'from->to:calls[:managed]'");
   core::TopologySpec::Edge edge;
   const size_t arrow = parts[0].find("->");
-  if (arrow == std::string::npos) {
-    topology_error("edge '" + field + "' is missing '->'");
-  }
+  if (arrow == std::string::npos) malformed("entry '" + text + "' is missing '->'");
   edge.from = std::string(trim(std::string_view(parts[0]).substr(0, arrow)));
   edge.to = std::string(trim(std::string_view(parts[0]).substr(arrow + 2)));
   if (edge.from.empty() || edge.to.empty()) {
-    topology_error("edge '" + field + "' must name both endpoints");
+    malformed("entry '" + text + "' must name both endpoints");
   }
   if (parts.size() >= 2) {
     const std::string calls(trim(parts[1]));
@@ -109,80 +105,94 @@ core::TopologySpec::Edge parse_topology_edge(const std::string& field) {
       edge.servlet_calls = true;
     } else {
       const auto parsed = parse_int(calls);
-      if (!parsed || *parsed < 0) {
-        topology_error("edge '" + field + "' calls must be a non-negative integer or 'q'");
+      if (!parsed || *parsed < 0 || *parsed > INT_MAX) {
+        malformed("entry '" + text + "' calls must be a non-negative int or 'q'");
       }
       edge.calls = static_cast<int>(*parsed);
     }
   }
   if (parts.size() == 3) {
     if (trim(parts[2]) != "managed") {
-      topology_error("edge '" + field + "' trailing field must be 'managed'");
+      malformed("entry '" + text + "' trailing field must be 'managed'");
     }
     edge.managed = true;
   }
   return edge;
 }
 
-// Parses the optional [topology] section. Strict: throws on an unknown kind,
-// malformed node/edge spellings, or graph-only keys (nodes/edges) under a
-// chain kind. Absent section = chain3.
-core::TopologySpec topology_spec_from_config(const Config& config) {
-  core::TopologySpec spec;
-  const std::string kind = config.get_string("topology", "kind", "chain3");
-  if (kind == "chain3") {
-    spec.kind = core::TopologySpec::Kind::kChain3;
-  } else if (kind == "chain4") {
-    spec.kind = core::TopologySpec::Kind::kChain4;
-  } else if (kind == "graph") {
-    spec.kind = core::TopologySpec::Kind::kGraph;
-  } else {
-    topology_error("unknown kind '" + kind + "' (expected chain3|chain4|graph)");
+// Enumerated kinds: the canonical names, in declaration order.
+constexpr const char* kTopologyKinds[] = {"chain3", "chain4", "graph"};
+constexpr const char* kWorkloadKinds[] = {"jmeter", "rubbos", "trace"};
+
+template <class Kind, size_t N>
+Kind parse_kind(const char* const (&names)[N], const std::string& text) {
+  std::string expected;
+  for (size_t i = 0; i < N; ++i) {
+    if (text == names[i]) return static_cast<Kind>(i);
+    expected += (i == 0 ? "" : "|") + std::string(names[i]);
   }
-  if (spec.kind != core::TopologySpec::Kind::kGraph) {
-    if (config.has("topology", "nodes") || config.has("topology", "edges")) {
-      topology_error("nodes/edges only apply to kind = graph");
-    }
-    return spec;
-  }
-  for (const std::string& field : split(config.get_string("topology", "nodes", ""), ',')) {
-    if (trim(field).empty()) topology_error("empty node entry in nodes list");
-    spec.nodes.push_back(parse_topology_node(std::string(trim(field))));
-  }
-  for (const std::string& field : split(config.get_string("topology", "edges", ""), ',')) {
-    if (trim(field).empty()) topology_error("empty edge entry in edges list");
-    spec.edges.push_back(parse_topology_edge(std::string(trim(field))));
-  }
-  if (spec.nodes.empty()) topology_error("kind = graph requires a nodes list");
-  return spec;
+  malformed("must be " + expected + ", got '" + text + "'");
 }
 
-// Canonical text spellings, the exact forms topology_spec_from_config
-// reads back unchanged: "chain3", "name:role, ...", "a->b:calls[:managed]".
-const char* topology_kind_name(core::TopologySpec::Kind kind) {
-  switch (kind) {
-    case core::TopologySpec::Kind::kChain3:
-      return "chain3";
-    case core::TopologySpec::Kind::kChain4:
-      return "chain4";
-    case core::TopologySpec::Kind::kGraph:
-      return "graph";
-  }
-  fail("corrupt topology kind");
+void read_topology_kind(Scenario& s, const std::string& text) {
+  s.topology.kind = parse_kind<TopologyKind>(kTopologyKinds, text);
 }
 
-std::string topology_nodes_to_string(const core::TopologySpec& spec) {
+std::string topology_kind_text(const Scenario& s) {
+  return kTopologyKinds[static_cast<int>(s.topology.kind)];
+}
+
+void read_workload_kind(Scenario& s, const std::string& text) {
+  s.workload.kind = parse_kind<WorkloadDecl::Kind>(kWorkloadKinds, text);
+}
+
+std::string workload_kind_text(const Scenario& s) {
+  return kWorkloadKinds[static_cast<int>(s.workload.kind)];
+}
+
+// "none" or a controller-registry name.
+bool known_controller_kind(const std::string& kind) {
+  return kind == "none" || control::has_controller(kind);
+}
+
+void read_controller_kind(Scenario& s, const std::string& text) {
+  if (!known_controller_kind(text)) {
+    std::string expected = "none";
+    for (const auto& name : control::controller_names()) expected += "|" + name;
+    malformed("must be " + expected + ", got '" + text + "'");
+  }
+  s.controller.kind = text;
+}
+
+// Topology lists, canonical as "name:role, ..." and
+// "a->b:calls[:managed], ...": the exact forms the parsers read back.
+template <class Parse>
+auto parse_list(const std::string& text, Parse parse) {
+  std::vector<decltype(parse(std::string()))> out;
+  for (const std::string& entry : split(text, ',')) out.push_back(parse(std::string(trim(entry))));
+  return out;
+}
+
+void read_topology_nodes(Scenario& s, const std::string& text) {
+  s.topology.nodes = parse_list(text, parse_topology_node);
+}
+
+void read_topology_edges(Scenario& s, const std::string& text) {
+  s.topology.edges = parse_list(text, parse_topology_edge);
+}
+
+std::string topology_nodes_text(const Scenario& s) {
   std::string out;
-  for (const auto& node : spec.nodes) {
+  for (const auto& node : s.topology.nodes) {
     if (!out.empty()) out += ", ";
     out += node.name + ":" + node.role;
   }
   return out;
 }
 
-std::string topology_edges_to_string(const core::TopologySpec& spec) {
+std::string topology_edges_text(const Scenario& s) {
   std::string out;
-  for (const auto& edge : spec.edges) {
+  for (const auto& edge : s.topology.edges) {
     if (!out.empty()) out += ", ";
     out += edge.from + "->" + edge.to + ":" +
            (edge.servlet_calls ? std::string("q") : std::to_string(edge.calls));
@@ -201,341 +211,381 @@ workload::Trace resolve_trace(const std::string& name, int peak_users, uint64_t 
   return workload::Trace::load_csv(name);
 }
 
-WorkloadDecl::Kind parse_workload_kind(const std::string& kind) {
-  if (kind == "jmeter") return WorkloadDecl::Kind::kJmeter;
-  if (kind == "rubbos") return WorkloadDecl::Kind::kRubbos;
-  if (kind == "trace") return WorkloadDecl::Kind::kTrace;
-  fail("unknown workload kind '" + kind + "' (expected jmeter|rubbos|trace)");
+// ---- Gates: when a row applies. Each reads only ungated rows.
+
+bool any_controller(const Scenario& s) { return s.controller.kind != "none"; }
+// The bool predictive trigger and the SLA trigger are ec2/dcm threshold-rule
+// extensions; the zoo kinds have their own trigger shapes.
+bool threshold_rule(const Scenario& s) {
+  return s.controller.kind == "ec2" || s.controller.kind == "dcm";
+}
+bool dcm_only(const Scenario& s) { return s.controller.kind == "dcm"; }
+bool graph_only(const Scenario& s) { return s.topology.kind == TopologyKind::kGraph; }
+bool closed_loop(const Scenario& s) { return s.workload.kind != WorkloadDecl::Kind::kTrace; }
+bool has_think_time(const Scenario& s) { return s.workload.kind != WorkloadDecl::Kind::kJmeter; }
+bool trace_driven(const Scenario& s) { return s.workload.kind == WorkloadDecl::Kind::kTrace; }
+bool resilient(const Scenario& s) { return s.resilience.enabled; }
+bool resilient_dcm(const Scenario& s) { return s.resilience.enabled && dcm_only(s); }
+bool traced(const Scenario& s) { return s.trace.enabled; }
+
+// ---- Domains. Times are capped at 1e9 s (~31 years) so every one converts
+// to SimTime (int64 ns) without overflow; periods must also be at least
+// 1 ns, the smallest nonzero SimTime.
+
+constexpr KeyDomain kAtLeastOne{.min = 1.0};
+constexpr KeyDomain kNonNegative{.min = 0.0};
+constexpr KeyDomain kUnit{.min = 0.0, .max = 1.0};
+constexpr KeyDomain kSeconds{.min = 0.0, .max = 1e9};
+constexpr KeyDomain kPeriod{.min = 1e-9, .max = 1e9};
+
+// The scenario vocabulary, one row per key. Ungated rows (applies ==
+// nullptr) include every kind and gate, and are read first.
+constexpr Row kScenarioRows[] = {
+    {"scenario", "name", field_of<&Scenario::name>},
+    {.section = "scenario",
+     .name = "summary",
+     .field = field_of<&Scenario::summary>,
+     .omitted = [](const Scenario& s) { return s.summary.empty(); }},
+
+    {"hardware", "web", field_of<&Scenario::hardware, &core::HardwareConfig::web>, kAtLeastOne},
+    {"hardware", "app", field_of<&Scenario::hardware, &core::HardwareConfig::app>, kAtLeastOne},
+    {"hardware", "db", field_of<&Scenario::hardware, &core::HardwareConfig::db>, kAtLeastOne},
+
+    {"soft", "web_threads", field_of<&Scenario::soft, &core::SoftAllocation::web_threads>,
+     kAtLeastOne},
+    {"soft", "app_threads", field_of<&Scenario::soft, &core::SoftAllocation::app_threads>,
+     kAtLeastOne},
+    {"soft", "db_connections", field_of<&Scenario::soft, &core::SoftAllocation::db_connections>,
+     kAtLeastOne},
+
+    // chain3 is canonical as an absent [topology] section.
+    {.section = "topology",
+     .name = "kind",
+     .omitted = [](const Scenario& s) { return s.topology.kind == TopologyKind::kChain3; },
+     .parse = read_topology_kind,
+     .format = topology_kind_text},
+    {.section = "topology",
+     .name = "nodes",
+     .applies = graph_only,
+     .relation = [](const Scenario& s) -> const char* {
+       return s.topology.nodes.empty() ? "a non-empty 'name:role, ...' list" : nullptr;
+     },
+     .parse = read_topology_nodes,
+     .format = topology_nodes_text},
+    {.section = "topology",
+     .name = "edges",
+     .applies = graph_only,
+     .relation = [](const Scenario& s) -> const char* {
+       return s.topology.edges.empty() ? "a non-empty 'from->to:calls[:managed], ...' list"
+                                       : nullptr;
+     },
+     .parse = read_topology_edges,
+     .format = topology_edges_text},
+
+    {.section = "workload",
+     .name = "kind",
+     .parse = read_workload_kind,
+     .format = workload_kind_text},
+    {"workload", "users", field_of<&Scenario::workload, &WorkloadDecl::users>, kNonNegative,
+     closed_loop},
+    {"workload", "think_seconds", field_of<&Scenario::workload, &WorkloadDecl::think_seconds>,
+     kPeriod, has_think_time},
+    {"workload", "trace", field_of<&Scenario::workload, &WorkloadDecl::trace>, {}, trace_driven},
+    {"workload", "peak_users", field_of<&Scenario::workload, &WorkloadDecl::peak_users>,
+     kAtLeastOne, trace_driven},
+
+    {.section = "controller",
+     .name = "kind",
+     .parse = read_controller_kind,
+     .format = [](const Scenario& s) { return s.controller.kind; }},
+    {"controller", "control_period",
+     field_of<&Scenario::controller, &ControllerDecl::control_period_seconds>, kPeriod,
+     any_controller},
+    {"controller", "scale_out_util",
+     field_of<&Scenario::controller, &ControllerDecl::scale_out_util>, kUnit, any_controller},
+    {"controller", "scale_in_util",
+     field_of<&Scenario::controller, &ControllerDecl::scale_in_util>, kUnit, any_controller,
+     [](const Scenario& s) -> const char* {
+       return s.controller.scale_in_util < s.controller.scale_out_util ? nullptr
+                                                                      : "in [0, scale_out_util)";
+     }},
+    {"controller", "scale_in_consecutive",
+     field_of<&Scenario::controller, &ControllerDecl::scale_in_consecutive>, kAtLeastOne,
+     any_controller},
+    {"controller", "hysteresis", field_of<&Scenario::controller, &ControllerDecl::hysteresis>,
+     kNonNegative, any_controller},
+    {"controller", "predictive", field_of<&Scenario::controller, &ControllerDecl::predictive>, {},
+     threshold_rule},
+    {"controller", "sla_rt", field_of<&Scenario::controller, &ControllerDecl::sla_rt>,
+     kNonNegative, threshold_rule},
+    // The STP pool is headroom·N_b, never below the model optimum.
+    {"controller", "headroom", field_of<&Scenario::controller, &ControllerDecl::headroom>,
+     kAtLeastOne, dcm_only},
+    {"controller", "online_estimation",
+     field_of<&Scenario::controller, &ControllerDecl::online_estimation>, {}, dcm_only},
+    {.section = "controller",
+     .name = "app_model",
+     .applies = dcm_only,
+     .omitted = [](const Scenario& s) { return s.controller.app_model.empty(); },
+     .parse = [](Scenario& s,
+                 const std::string& text) { read_model_triple(s.controller.app_model, text); },
+     .format = [](const Scenario& s) { return s.controller.app_model; }},
+    {.section = "controller",
+     .name = "db_model",
+     .applies = dcm_only,
+     .omitted = [](const Scenario& s) { return s.controller.db_model.empty(); },
+     .parse = [](Scenario& s,
+                 const std::string& text) { read_model_triple(s.controller.db_model, text); },
+     .format = [](const Scenario& s) { return s.controller.db_model; }},
+
+    {"faults", "crash_mttf", field_of<&Scenario::faults, &fault::FaultSpec::crash_mttf_seconds>,
+     kSeconds},
+    {"faults", "slowdown_mttf",
+     field_of<&Scenario::faults, &fault::FaultSpec::slowdown_mttf_seconds>, kSeconds},
+    {"faults", "slowdown_factor", field_of<&Scenario::faults, &fault::FaultSpec::slowdown_factor>,
+     {.min = 0.0, .max = 1.0, .min_open = true}},
+    {"faults", "slowdown_duration",
+     field_of<&Scenario::faults, &fault::FaultSpec::slowdown_duration_seconds>, kSeconds},
+    {"faults", "telemetry_loss_mttf",
+     field_of<&Scenario::faults, &fault::FaultSpec::telemetry_loss_mttf_seconds>, kSeconds},
+    {"faults", "telemetry_loss_duration",
+     field_of<&Scenario::faults, &fault::FaultSpec::telemetry_loss_duration_seconds>, kSeconds},
+    {"faults", "agent_silence_mttf",
+     field_of<&Scenario::faults, &fault::FaultSpec::agent_silence_mttf_seconds>, kSeconds},
+    {"faults", "agent_silence_duration",
+     field_of<&Scenario::faults, &fault::FaultSpec::agent_silence_duration_seconds>, kSeconds},
+
+    {"resilience", "enabled", field_of<&Scenario::resilience, &core::ResilienceSpec::enabled>},
+    {"resilience", "client_timeout",
+     field_of<&Scenario::resilience, &core::ResilienceSpec::client_timeout_seconds>, kSeconds,
+     resilient},
+    {"resilience", "client_retries",
+     field_of<&Scenario::resilience, &core::ResilienceSpec::client_retries>, kNonNegative,
+     resilient},
+    {"resilience", "client_backoff",
+     field_of<&Scenario::resilience, &core::ResilienceSpec::client_backoff_seconds>, kSeconds,
+     resilient},
+    {"resilience", "subrequest_timeout",
+     field_of<&Scenario::resilience, &core::ResilienceSpec::subrequest_timeout_seconds>,
+     kSeconds, resilient},
+    {"resilience", "subrequest_retries",
+     field_of<&Scenario::resilience, &core::ResilienceSpec::subrequest_retries>, kNonNegative,
+     resilient},
+    {"resilience", "health_period",
+     field_of<&Scenario::resilience, &core::ResilienceSpec::health_period_seconds>, kPeriod,
+     resilient},
+    {"resilience", "health_failure_threshold",
+     field_of<&Scenario::resilience, &core::ResilienceSpec::health_failure_threshold>,
+     kAtLeastOne, resilient},
+    {"resilience", "replace_failed",
+     field_of<&Scenario::resilience, &core::ResilienceSpec::replace_failed>, {}, resilient},
+    {"resilience", "watchdog_periods",
+     field_of<&Scenario::resilience, &core::ResilienceSpec::watchdog_periods>, kNonNegative,
+     resilient_dcm},
+    {"resilience", "min_fit_r2", field_of<&Scenario::resilience, &core::ResilienceSpec::min_fit_r2>,
+     kUnit, resilient_dcm},
+
+    {.section = "trace",
+     .name = "enabled",
+     .field = field_of<&Scenario::trace, &trace::TraceSpec::enabled>,
+     .omitted = [](const Scenario& s) { return !s.trace.enabled; }},
+    {"trace", "rate", field_of<&Scenario::trace, &trace::TraceSpec::rate>, kUnit, traced},
+
+    {"run", "duration", field_of<&Scenario::duration_seconds>, kPeriod},
+    {"run", "warmup", field_of<&Scenario::warmup_seconds>, kSeconds, nullptr,
+     [](const Scenario& s) -> const char* {
+       return s.warmup_seconds < s.duration_seconds ? nullptr : "in [0, duration)";
+     }},
+    {"run", "max_vms", field_of<&Scenario::max_vms>, kAtLeastOne},
+    {"run", "seed", field_of<&Scenario::seed>},
+};
+
+// A zoo family's tuning rows, owned by its header, filed under [controller]
+// and applying while controller.kind names the family.
+template <auto Family, const auto& Rows, size_t I>
+FieldRef family_field(Scenario& s) {
+  return Rows[I].field(s.controller.*Family);
 }
 
-const char* workload_kind_name(WorkloadDecl::Kind kind) {
-  switch (kind) {
-    case WorkloadDecl::Kind::kJmeter:
-      return "jmeter";
-    case WorkloadDecl::Kind::kRubbos:
-      return "rubbos";
-    case WorkloadDecl::Kind::kTrace:
-      return "trace";
+template <auto Family, const auto& Rows, size_t... I>
+void add_family(std::vector<Row>& rows, bool (*applies)(const Scenario&),
+                std::index_sequence<I...>) {
+  (rows.push_back({"controller", Rows[I].name, family_field<Family, Rows, I>, Rows[I].domain,
+                   applies}),
+   ...);
+}
+
+template <auto Family, const auto& Rows>
+void add_family(std::vector<Row>& rows, bool (*applies)(const Scenario&)) {
+  add_family<Family, Rows>(rows, applies, std::make_index_sequence<std::size(Rows)>());
+}
+
+const std::vector<Row>& rows() {
+  static const std::vector<Row> kRows = [] {
+    std::vector<Row> all(std::begin(kScenarioRows), std::end(kScenarioRows));
+    add_family<&ControllerDecl::holt, control::kPredictiveTuningKeys>(
+        all, [](const Scenario& s) { return s.controller.kind == "predictive"; });
+    add_family<&ControllerDecl::queueing, control::kQueueingTuningKeys>(
+        all, [](const Scenario& s) { return s.controller.kind == "queueing"; });
+    add_family<&ControllerDecl::pi, control::kPiTuningKeys>(
+        all, [](const Scenario& s) { return s.controller.kind == "pi"; });
+    return all;
+  }();
+  return kRows;
+}
+
+// ---- The loops over the table.
+
+bool applies(const Row& row, const Scenario& s) {
+  return row.applies == nullptr || row.applies(s);
+}
+
+// The row of [section] key that applies under the gates of `s`, if any.
+// Zoo families may share a key name (target_util): their gates are disjoint.
+const Row* applicable_row(const std::string& section, const std::string& key,
+                          const Scenario& s) {
+  for (const Row& row : rows()) {
+    if (section == row.section && key == row.name && applies(row, s)) return &row;
   }
-  fail("corrupt workload kind");
+  return nullptr;
 }
 
-// "none" or a controller-registry name.
-std::string checked_controller_kind(const std::string& kind) {
-  if (kind == "none" || control::has_controller(kind)) return kind;
-  std::string expected = "none";
-  for (const auto& name : control::controller_names()) expected += "|" + name;
-  fail("unknown controller kind '" + kind + "' (expected " + expected + ")");
-}
-
-// Calls fn(key, family_config) for each tuning key of the declared zoo
-// family; ec2, dcm and none have none. `Decl` is (const) ControllerDecl.
-template <class Decl, class Fn>
-void for_each_tuning_key(Decl& controller, Fn&& fn) {
-  const auto visit = [&](const auto& keys, auto& family) {
-    for (const auto& key : keys) fn(key, family);
-  };
-  if (controller.kind == "predictive") visit(control::kPredictiveTuningKeys, controller.holt);
-  if (controller.kind == "queueing") visit(control::kQueueingTuningKeys, controller.queueing);
-  if (controller.kind == "pi") visit(control::kPiTuningKeys, controller.pi);
-}
-
-// The full vocabulary a scenario may use, conditioned on the declared
-// kinds — anything outside this set is a spelling mistake, not a default.
-std::map<std::string, std::set<std::string>> allowed_keys(WorkloadDecl::Kind workload,
-                                                          const std::string& controller,
-                                                          core::TopologySpec::Kind topology,
-                                                          bool resilience_enabled,
-                                                          bool trace_enabled) {
-  std::map<std::string, std::set<std::string>> allowed;
-  allowed["scenario"] = {"name", "summary"};
-  allowed["hardware"] = {"web", "app", "db"};
-  allowed["soft"] = {"web_threads", "app_threads", "db_connections"};
-  allowed["run"] = {"duration", "warmup", "max_vms", "seed"};
-
-  std::set<std::string>& topology_keys = allowed["topology"];
-  topology_keys.insert("kind");
-  if (topology == core::TopologySpec::Kind::kGraph) {
-    topology_keys.insert({"nodes", "edges"});
-  }
-  allowed["faults"] = {"crash_mttf",          "slowdown_mttf",
-                       "slowdown_factor",     "slowdown_duration",
-                       "telemetry_loss_mttf", "telemetry_loss_duration",
-                       "agent_silence_mttf",  "agent_silence_duration"};
-
-  std::set<std::string>& resilience_keys = allowed["resilience"];
-  resilience_keys.insert("enabled");
-  if (resilience_enabled) {
-    resilience_keys.insert({"client_timeout", "client_retries", "client_backoff",
-                            "subrequest_timeout", "subrequest_retries", "health_period",
-                            "health_failure_threshold", "replace_failed"});
-    if (controller == "dcm") {
-      resilience_keys.insert({"watchdog_periods", "min_fit_r2"});
+template <class T>
+T checked(const Row& row, const KeyDomain& domain, T value) {
+  if (!domain.accepts(static_cast<double>(value))) {
+    if constexpr (std::is_floating_point_v<T>) {
+      reject(row, domain.text(), format_double(value));
+    } else {
+      reject(row, domain.text(), std::to_string(value));
     }
   }
-
-  std::set<std::string>& trace_keys = allowed["trace"];
-  trace_keys.insert("enabled");
-  if (trace_enabled) trace_keys.insert("rate");
-
-  std::set<std::string>& workload_keys = allowed["workload"];
-  workload_keys.insert("kind");
-  switch (workload) {
-    case WorkloadDecl::Kind::kJmeter:
-      workload_keys.insert("users");
-      break;
-    case WorkloadDecl::Kind::kRubbos:
-      workload_keys.insert("users");
-      workload_keys.insert("think_seconds");
-      break;
-    case WorkloadDecl::Kind::kTrace:
-      workload_keys.insert("think_seconds");
-      workload_keys.insert("trace");
-      workload_keys.insert("peak_users");
-      break;
-  }
-
-  std::set<std::string>& controller_keys = allowed["controller"];
-  controller_keys.insert("kind");
-  if (controller != "none") {
-    controller_keys.insert({"control_period", "scale_out_util", "scale_in_util",
-                            "scale_in_consecutive", "hysteresis"});
-  }
-  // The bool predictive trigger and the SLA trigger are ec2/dcm hardware-rule
-  // extensions; the zoo kinds have their own trigger shapes.
-  if (controller == "ec2" || controller == "dcm") {
-    controller_keys.insert({"predictive", "sla_rt"});
-  }
-  if (controller == "dcm") {
-    controller_keys.insert({"headroom", "online_estimation", "app_model", "db_model"});
-  }
-  ControllerDecl decl;
-  decl.kind = controller;
-  for_each_tuning_key(decl, [&](const auto& key, const auto&) { controller_keys.insert(key.name); });
-  return allowed;
+  return value;
 }
 
-void reject_unknown_keys(const Config& config, WorkloadDecl::Kind workload,
-                         const std::string& controller, core::TopologySpec::Kind topology,
-                         bool resilience_enabled, bool trace_enabled) {
-  const auto allowed =
-      allowed_keys(workload, controller, topology, resilience_enabled, trace_enabled);
+// Reads the key's text, if present, into its field; a value outside the
+// row's domain throws naming [section] key.
+void read(const Row& row, const Config& config, Scenario& s) {
+  if (!config.has(row.section, row.name)) return;
+  const std::string text = config.get_string(row.section, row.name);
+  if (row.parse != nullptr) {
+    try {
+      row.parse(s, text);
+    } catch (const std::invalid_argument& e) {
+      fail(label(row) + " " + e.what());
+    }
+    return;
+  }
+  std::visit(
+      [&](auto* field) {
+        using T = std::remove_pointer_t<decltype(field)>;
+        if constexpr (std::is_same_v<T, double>) {
+          *field = checked(row, row.domain, config.get_double(row.section, row.name, *field));
+        } else if constexpr (std::is_same_v<T, int>) {
+          KeyDomain domain = row.domain;
+          domain.min = std::max(domain.min, static_cast<double>(INT_MIN));
+          domain.max = std::min(domain.max, static_cast<double>(INT_MAX));
+          *field = static_cast<int>(
+              checked(row, domain, config.get_int(row.section, row.name, *field)));
+        } else if constexpr (std::is_same_v<T, bool>) {
+          *field = config.get_bool(row.section, row.name, *field);
+        } else if constexpr (std::is_same_v<T, uint64_t>) {
+          const auto parsed = parse_uint(text);
+          if (!parsed) reject(row, "an integer in [0, " + std::to_string(UINT64_MAX) + "]", text);
+          *field = *parsed;
+        } else {
+          *field = text;
+        }
+      },
+      row.field(s));
+}
+
+std::string format(const Row& row, const Scenario& s) {
+  if (row.format != nullptr) return row.format(s);
+  // field() only forms a pointer into `s`; formatting reads through it.
+  return std::visit(
+      [](const auto* field) -> std::string {
+        using T = std::remove_cv_t<std::remove_pointer_t<decltype(field)>>;
+        if constexpr (std::is_same_v<T, double>) {
+          return format_double(*field);
+        } else if constexpr (std::is_same_v<T, bool>) {
+          return *field ? "true" : "false";
+        } else if constexpr (std::is_same_v<T, std::string>) {
+          return *field;
+        } else {
+          return std::to_string(*field);  // int, uint64_t
+        }
+      },
+      row.field(const_cast<Scenario&>(s)));
+}
+
+// The ungated rows: every kind and gate the other rows' predicates read.
+Scenario read_gates(const Config& config) {
+  Scenario s;
+  for (const Row& row : rows()) {
+    if (row.applies == nullptr) read(row, config, s);
+  }
+  return s;
+}
+
+void reject_unknown_keys(const Config& config, const Scenario& s) {
   for (const auto& [section, keys] : config.sections()) {
-    const auto entry = allowed.find(section);
-    if (entry == allowed.end()) {
-      fail("unknown section [" + section + "]");
-    }
+    bool known = false;
+    for (const Row& row : rows()) known = known || section == row.section;
+    if (!known) fail("unknown section [" + section + "]");
     for (const auto& [key, value] : keys) {
-      if (entry->second.count(key) == 0) {
+      if (applicable_row(section, key, s) == nullptr) {
         fail("unknown key '" + key + "' in [" + section + "] (workload kind " +
-             workload_kind_name(workload) + ", controller kind " + controller + ")");
+             workload_kind_text(s) + ", controller kind " + s.controller.kind + ")");
       }
     }
   }
-}
-
-// Rejects a value outside its key's domain with an error naming
-// [section] key, so a hostile scenario fails here instead of aborting the
-// run deep inside the simulator (or silently running as a default). Every
-// field is checked, set or not: the defaults all lie inside their domains.
-void check_domains(const Scenario& s) {
-  // The error text is built only on failure: parsing a valid scenario
-  // allocates nothing here.
-  const auto reject = [](const char* key, const std::string& domain, const std::string& got) {
-    fail(std::string(key) + " must be " + domain + ", got " + got);
-  };
-  const auto at_least = [&](const char* key, int value, int min) {
-    if (value < min) reject(key, ">= " + format_int(min), format_int(value));
-  };
-  const auto check = [&](bool ok, const char* key, const char* domain, double value) {
-    if (!ok) reject(key, domain, format_double(value));
-  };
-  // Times are capped at 1e9 s (~31 years) so every one converts to SimTime
-  // (int64 ns) without overflow; periods must also be at least 1 ns, the
-  // smallest nonzero SimTime. NaN fails every comparison.
-  const auto seconds = [&](const char* key, double value) {
-    check(value >= 0.0 && value <= 1e9, key, "in [0, 1e9]", value);
-  };
-  const auto period = [&](const char* key, double value) {
-    check(value >= 1e-9 && value <= 1e9, key, "in [1e-9, 1e9]", value);
-  };
-
-  at_least("[hardware] web", s.hardware.web, 1);
-  at_least("[hardware] app", s.hardware.app, 1);
-  at_least("[hardware] db", s.hardware.db, 1);
-  at_least("[soft] web_threads", s.soft.web_threads, 1);
-  at_least("[soft] app_threads", s.soft.app_threads, 1);
-  at_least("[soft] db_connections", s.soft.db_connections, 1);
-
-  at_least("[workload] users", s.workload.users, 0);
-  period("[workload] think_seconds", s.workload.think_seconds);
-  at_least("[workload] peak_users", s.workload.peak_users, 1);
-  period("[controller] control_period", s.controller.control_period_seconds);
-
-  seconds("[faults] crash_mttf", s.faults.crash_mttf);
-  seconds("[faults] slowdown_mttf", s.faults.slowdown_mttf);
-  check(s.faults.slowdown_factor > 0.0 && s.faults.slowdown_factor <= 1.0,
-        "[faults] slowdown_factor", "in (0, 1]", s.faults.slowdown_factor);
-  seconds("[faults] slowdown_duration", s.faults.slowdown_duration);
-  seconds("[faults] telemetry_loss_mttf", s.faults.telemetry_loss_mttf);
-  seconds("[faults] telemetry_loss_duration", s.faults.telemetry_loss_duration);
-  seconds("[faults] agent_silence_mttf", s.faults.agent_silence_mttf);
-  seconds("[faults] agent_silence_duration", s.faults.agent_silence_duration);
-
-  const ResilienceDecl& res = s.resilience;
-  seconds("[resilience] client_timeout", res.client_timeout);
-  at_least("[resilience] client_retries", res.client_retries, 0);
-  seconds("[resilience] client_backoff", res.client_backoff);
-  seconds("[resilience] subrequest_timeout", res.subrequest_timeout);
-  at_least("[resilience] subrequest_retries", res.subrequest_retries, 0);
-  period("[resilience] health_period", res.health_period);
-  at_least("[resilience] health_failure_threshold", res.health_failure_threshold, 1);
-  at_least("[resilience] watchdog_periods", res.watchdog_periods, 0);
-  check(res.min_fit_r2 >= 0.0 && res.min_fit_r2 <= 1.0, "[resilience] min_fit_r2", "in [0, 1]",
-        res.min_fit_r2);
-
-  period("[run] duration", s.duration_seconds);
-  check(s.warmup_seconds >= 0.0 && s.warmup_seconds < s.duration_seconds, "[run] warmup",
-        "in [0, duration)", s.warmup_seconds);
-  at_least("[run] max_vms", s.max_vms, 1);
 }
 
 }  // namespace
 
 bool scenario_key_applies(const Config& config, const std::string& section,
                           const std::string& key) {
-  const auto allowed =
-      allowed_keys(parse_workload_kind(config.get_string("workload", "kind", "rubbos")),
-                   checked_controller_kind(config.get_string("controller", "kind", "none")),
-                   topology_spec_from_config(config).kind,
-                   config.get_bool("resilience", "enabled", false),
-                   config.get_bool("trace", "enabled", false));
-  const auto entry = allowed.find(section);
-  return entry != allowed.end() && entry->second.count(key) > 0;
+  return applicable_row(section, key, read_gates(config)) != nullptr;
 }
 
 Scenario apply_overrides(const Scenario& base, const Overrides& overrides) {
   Config config = base.to_config();
+  std::set<std::pair<std::string, std::string>> overridden;
   for (const auto& [path, value] : overrides) {
     const size_t dot = path.find('.');
     if (dot == std::string::npos || dot == 0 || dot + 1 == path.size()) {
       fail("override must be section.key=value, got: " + path);
     }
+    overridden.emplace(path.substr(0, dot), path.substr(dot + 1));
     config.set(path.substr(0, dot), path.substr(dot + 1), value);
   }
 
-  Config rebuilt;
+  // Keys the base emitted are kept only while they apply under the
+  // overridden gates; an overridden key is always kept, so a typo'd or
+  // inapplicable override still throws.
+  const Scenario gates = read_gates(config);
+  Config kept;
   for (const auto& [section, keys] : config.sections()) {
     for (const auto& [key, value] : keys) {
-      const bool from_override = [&] {
-        for (const auto& [path, v] : overrides) {
-          if (path == section + "." + key) return true;
-        }
-        return false;
-      }();
-      if (from_override || scenario_key_applies(config, section, key)) {
-        rebuilt.set(section, key, value);
+      if (overridden.count({section, key}) > 0 || applicable_row(section, key, gates) != nullptr) {
+        kept.set(section, key, value);
       }
     }
   }
-  return Scenario::from_config(rebuilt);
+  return Scenario::from_config(kept);
 }
 
 Scenario Scenario::from_config(const Config& config) {
-  Scenario scenario;
-  scenario.workload.kind =
-      parse_workload_kind(config.get_string("workload", "kind", "rubbos"));
-  scenario.controller.kind =
-      checked_controller_kind(config.get_string("controller", "kind", "none"));
-  read(config, "resilience", "enabled", scenario.resilience.enabled);
-  read(config, "trace", "enabled", scenario.trace.enabled);
-  scenario.topology = topology_spec_from_config(config);
-  reject_unknown_keys(config, scenario.workload.kind, scenario.controller.kind,
-                      scenario.topology.kind, scenario.resilience.enabled,
-                      scenario.trace.enabled);
-
-  read(config, "scenario", "name", scenario.name);
-  read(config, "scenario", "summary", scenario.summary);
-
-  read(config, "hardware", "web", scenario.hardware.web);
-  read(config, "hardware", "app", scenario.hardware.app);
-  read(config, "hardware", "db", scenario.hardware.db);
-
-  read(config, "soft", "web_threads", scenario.soft.web_threads);
-  read(config, "soft", "app_threads", scenario.soft.app_threads);
-  read(config, "soft", "db_connections", scenario.soft.db_connections);
-
-  read(config, "workload", "users", scenario.workload.users);
-  read(config, "workload", "think_seconds", scenario.workload.think_seconds);
-  read(config, "workload", "trace", scenario.workload.trace);
-  read(config, "workload", "peak_users", scenario.workload.peak_users);
-
-  ControllerDecl& controller = scenario.controller;
-  read(config, "controller", "control_period", controller.control_period_seconds);
-  read(config, "controller", "scale_out_util", controller.scale_out_util);
-  read(config, "controller", "scale_in_util", controller.scale_in_util);
-  read(config, "controller", "scale_in_consecutive", controller.scale_in_consecutive);
-  read(config, "controller", "hysteresis", controller.hysteresis);
-  if (controller.hysteresis < 0.0) fail("[controller] hysteresis must be >= 0");
-  read(config, "controller", "predictive", controller.predictive);
-  read(config, "controller", "sla_rt", controller.sla_rt);
-  read(config, "controller", "headroom", controller.headroom);
-  read(config, "controller", "online_estimation", controller.online_estimation);
-  if (config.has("controller", "app_model")) {
-    controller.app_model =
-        normalize_model_triple("app_model", config.get_string("controller", "app_model"));
+  Scenario scenario = read_gates(config);
+  reject_unknown_keys(config, scenario);
+  for (const Row& row : rows()) {
+    if (row.applies != nullptr && row.applies(scenario)) read(row, config, scenario);
   }
-  if (config.has("controller", "db_model")) {
-    controller.db_model =
-        normalize_model_triple("db_model", config.get_string("controller", "db_model"));
+  for (const Row& row : rows()) {
+    if (row.relation == nullptr || !applies(row, scenario)) continue;
+    if (const char* domain = row.relation(scenario)) reject(row, domain, format(row, scenario));
   }
-  for_each_tuning_key(controller, [&](const auto& key, auto& family) {
-    if (key.integer != nullptr) {
-      read(config, "controller", key.name, family.*key.integer);
-    } else {
-      read(config, "controller", key.name, family.*key.real);
-    }
-    if (!key.accepts(key.get(family))) {
-      fail(std::string("[controller] ") + key.name + " must be " + key.range_text());
-    }
-  });
-
-  FaultDecl& faults = scenario.faults;
-  read(config, "faults", "crash_mttf", faults.crash_mttf);
-  read(config, "faults", "slowdown_mttf", faults.slowdown_mttf);
-  read(config, "faults", "slowdown_factor", faults.slowdown_factor);
-  read(config, "faults", "slowdown_duration", faults.slowdown_duration);
-  read(config, "faults", "telemetry_loss_mttf", faults.telemetry_loss_mttf);
-  read(config, "faults", "telemetry_loss_duration", faults.telemetry_loss_duration);
-  read(config, "faults", "agent_silence_mttf", faults.agent_silence_mttf);
-  read(config, "faults", "agent_silence_duration", faults.agent_silence_duration);
-
-  // Detail keys only parse when they apply (reject_unknown_keys), so the
-  // reads below leave the defaults in place otherwise.
-  ResilienceDecl& res = scenario.resilience;
-  read(config, "resilience", "client_timeout", res.client_timeout);
-  read(config, "resilience", "client_retries", res.client_retries);
-  read(config, "resilience", "client_backoff", res.client_backoff);
-  read(config, "resilience", "subrequest_timeout", res.subrequest_timeout);
-  read(config, "resilience", "subrequest_retries", res.subrequest_retries);
-  read(config, "resilience", "health_period", res.health_period);
-  read(config, "resilience", "health_failure_threshold", res.health_failure_threshold);
-  read(config, "resilience", "replace_failed", res.replace_failed);
-  read(config, "resilience", "watchdog_periods", res.watchdog_periods);
-  read(config, "resilience", "min_fit_r2", res.min_fit_r2);
-
-  read(config, "trace", "rate", scenario.trace.rate);
-  if (scenario.trace.rate < 0.0 || scenario.trace.rate > 1.0) {
-    fail("[trace] rate must be in [0, 1]");
-  }
-
-  read(config, "run", "duration", scenario.duration_seconds);
-  read(config, "run", "warmup", scenario.warmup_seconds);
-  read(config, "run", "max_vms", scenario.max_vms);
-  scenario.seed = static_cast<uint64_t>(config.get_int("run", "seed", 1));
-
-  check_domains(scenario);
-  if (scenario.topology.kind == core::TopologySpec::Kind::kGraph) {
+  if (scenario.topology.kind == TopologyKind::kGraph) {
     // Eager validation: building the ServiceGraph rejects duplicate names,
     // unknown roles/endpoints, cycles, unreachable nodes and oversized
     // fan-outs here, at parse time.
@@ -555,110 +605,10 @@ Scenario Scenario::load(const std::string& path) {
 
 Config Scenario::to_config() const {
   Config config;
-  config.set("scenario", "name", name);
-  if (!summary.empty()) config.set("scenario", "summary", summary);
-
-  config.set("hardware", "web", format_int(hardware.web));
-  config.set("hardware", "app", format_int(hardware.app));
-  config.set("hardware", "db", format_int(hardware.db));
-
-  config.set("soft", "web_threads", format_int(soft.web_threads));
-  config.set("soft", "app_threads", format_int(soft.app_threads));
-  config.set("soft", "db_connections", format_int(soft.db_connections));
-
-  // chain3 is canonical as an absent [topology] section.
-  if (topology.kind != core::TopologySpec::Kind::kChain3) {
-    config.set("topology", "kind", topology_kind_name(topology.kind));
-    if (topology.kind == core::TopologySpec::Kind::kGraph) {
-      config.set("topology", "nodes", topology_nodes_to_string(topology));
-      config.set("topology", "edges", topology_edges_to_string(topology));
-    }
+  for (const Row& row : rows()) {
+    if (!applies(row, *this) || (row.omitted != nullptr && row.omitted(*this))) continue;
+    config.set(row.section, row.name, format(row, *this));
   }
-
-  config.set("workload", "kind", workload_kind_name(workload.kind));
-  switch (workload.kind) {
-    case WorkloadDecl::Kind::kJmeter:
-      config.set("workload", "users", format_int(workload.users));
-      break;
-    case WorkloadDecl::Kind::kRubbos:
-      config.set("workload", "users", format_int(workload.users));
-      config.set("workload", "think_seconds", format_double(workload.think_seconds));
-      break;
-    case WorkloadDecl::Kind::kTrace:
-      config.set("workload", "trace", workload.trace);
-      config.set("workload", "peak_users", format_int(workload.peak_users));
-      config.set("workload", "think_seconds", format_double(workload.think_seconds));
-      break;
-  }
-
-  config.set("controller", "kind", controller.kind);
-  if (controller.kind != "none") {
-    config.set("controller", "control_period", format_double(controller.control_period_seconds));
-    config.set("controller", "scale_out_util", format_double(controller.scale_out_util));
-    config.set("controller", "scale_in_util", format_double(controller.scale_in_util));
-    config.set("controller", "scale_in_consecutive",
-               format_int(controller.scale_in_consecutive));
-    config.set("controller", "hysteresis", format_double(controller.hysteresis));
-  }
-  if (controller.kind == "ec2" || controller.kind == "dcm") {
-    config.set("controller", "predictive", controller.predictive ? "true" : "false");
-    config.set("controller", "sla_rt", format_double(controller.sla_rt));
-  }
-  for_each_tuning_key(controller, [&](const auto& key, const auto& family) {
-    config.set("controller", key.name,
-               key.integer != nullptr ? format_int(family.*key.integer)
-                                      : format_double(family.*key.real));
-  });
-  if (controller.kind == "dcm") {
-    config.set("controller", "headroom", format_double(controller.headroom));
-    config.set("controller", "online_estimation",
-               controller.online_estimation ? "true" : "false");
-    if (!controller.app_model.empty()) {
-      config.set("controller", "app_model", controller.app_model);
-    }
-    if (!controller.db_model.empty()) {
-      config.set("controller", "db_model", controller.db_model);
-    }
-  }
-
-  config.set("faults", "crash_mttf", format_double(faults.crash_mttf));
-  config.set("faults", "slowdown_mttf", format_double(faults.slowdown_mttf));
-  config.set("faults", "slowdown_factor", format_double(faults.slowdown_factor));
-  config.set("faults", "slowdown_duration", format_double(faults.slowdown_duration));
-  config.set("faults", "telemetry_loss_mttf", format_double(faults.telemetry_loss_mttf));
-  config.set("faults", "telemetry_loss_duration",
-             format_double(faults.telemetry_loss_duration));
-  config.set("faults", "agent_silence_mttf", format_double(faults.agent_silence_mttf));
-  config.set("faults", "agent_silence_duration",
-             format_double(faults.agent_silence_duration));
-
-  config.set("resilience", "enabled", resilience.enabled ? "true" : "false");
-  if (resilience.enabled) {
-    config.set("resilience", "client_timeout", format_double(resilience.client_timeout));
-    config.set("resilience", "client_retries", format_int(resilience.client_retries));
-    config.set("resilience", "client_backoff", format_double(resilience.client_backoff));
-    config.set("resilience", "subrequest_timeout",
-               format_double(resilience.subrequest_timeout));
-    config.set("resilience", "subrequest_retries", format_int(resilience.subrequest_retries));
-    config.set("resilience", "health_period", format_double(resilience.health_period));
-    config.set("resilience", "health_failure_threshold",
-               format_int(resilience.health_failure_threshold));
-    config.set("resilience", "replace_failed", resilience.replace_failed ? "true" : "false");
-    if (controller.kind == "dcm") {
-      config.set("resilience", "watchdog_periods", format_int(resilience.watchdog_periods));
-      config.set("resilience", "min_fit_r2", format_double(resilience.min_fit_r2));
-    }
-  }
-
-  if (trace.enabled) {
-    config.set("trace", "enabled", "true");
-    config.set("trace", "rate", format_double(trace.rate));
-  }
-
-  config.set("run", "duration", format_double(duration_seconds));
-  config.set("run", "warmup", format_double(warmup_seconds));
-  config.set("run", "max_vms", format_int(max_vms));
-  config.set("run", "seed", format_int(static_cast<int64_t>(seed)));
   return config;
 }
 
@@ -669,6 +619,9 @@ core::ExperimentConfig Scenario::experiment() const {
   experiment.hardware = hardware;
   experiment.soft = soft;
   experiment.topology = topology;
+  experiment.faults = faults;
+  experiment.resilience = resilience;
+  experiment.trace = trace;
   experiment.duration_seconds = duration_seconds;
   experiment.warmup_seconds = warmup_seconds;
   experiment.max_vms_per_tier = max_vms;
@@ -689,39 +642,12 @@ core::ExperimentConfig Scenario::experiment() const {
       break;
   }
 
-  fault::FaultSpec& fault_spec = experiment.faults;
-  fault_spec.crash_mttf_seconds = faults.crash_mttf;
-  fault_spec.slowdown_mttf_seconds = faults.slowdown_mttf;
-  fault_spec.slowdown_factor = faults.slowdown_factor;
-  fault_spec.slowdown_duration_seconds = faults.slowdown_duration;
-  fault_spec.telemetry_loss_mttf_seconds = faults.telemetry_loss_mttf;
-  fault_spec.telemetry_loss_duration_seconds = faults.telemetry_loss_duration;
-  fault_spec.agent_silence_mttf_seconds = faults.agent_silence_mttf;
-  fault_spec.agent_silence_duration_seconds = faults.agent_silence_duration;
-
-  if (resilience.enabled) {
-    core::ResilienceSpec& spec = experiment.resilience;
-    spec.enabled = true;
-    spec.client_timeout_seconds = resilience.client_timeout;
-    spec.client_retries = resilience.client_retries;
-    spec.client_backoff_seconds = resilience.client_backoff;
-    spec.subrequest_timeout_seconds = resilience.subrequest_timeout;
-    spec.subrequest_retries = resilience.subrequest_retries;
-    spec.health_period_seconds = resilience.health_period;
-    spec.health_failure_threshold = resilience.health_failure_threshold;
-    spec.replace_failed = resilience.replace_failed;
-    spec.watchdog_periods = resilience.watchdog_periods;
-    spec.min_fit_r2 = resilience.min_fit_r2;
-  }
-
-  if (trace.enabled) {
-    experiment.trace.enabled = true;
-    experiment.trace.rate = trace.rate;
-  }
-
   if (controller.kind == "none") return experiment;
+  if (!known_controller_kind(controller.kind)) {
+    fail("unknown controller kind '" + controller.kind + "'");
+  }
   core::ControllerSpec& spec = experiment.controller;
-  spec.name = checked_controller_kind(controller.kind);
+  spec.name = controller.kind;
   spec.policy.control_period = sim::from_seconds(controller.control_period_seconds);
   spec.policy.scale_out_util = controller.scale_out_util;
   spec.policy.scale_in_util = controller.scale_in_util;
@@ -735,10 +661,10 @@ core::ExperimentConfig Scenario::experiment() const {
     spec.dcm.app_tier_model = core::tomcat_reference_model();
     spec.dcm.db_tier_model = core::mysql_reference_model();
     if (!controller.app_model.empty()) {
-      spec.dcm.app_tier_model.params = parse_model_triple("app_model", controller.app_model);
+      spec.dcm.app_tier_model.params = model_override(controller.app_model);
     }
     if (!controller.db_model.empty()) {
-      spec.dcm.db_tier_model.params = parse_model_triple("db_model", controller.db_model);
+      spec.dcm.db_tier_model.params = model_override(controller.db_model);
     }
     spec.dcm.stp_headroom = controller.headroom;
     spec.dcm.online_estimation = controller.online_estimation;

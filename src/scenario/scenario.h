@@ -9,9 +9,20 @@
 // registry, and hand-written INI files all take exactly one path into the
 // simulator.
 //
+// The vocabulary is one table of `KeyRow<Scenario>` rows (scenario.cpp):
+// each `[section] key` is named once, with the field it reads and writes,
+// the kinds and gates under which it applies, its domain and its canonical
+// spelling. Parsing, the unknown-key check, `scenario_key_applies`, domain
+// checks, canonical emission and `apply_overrides` are loops over that
+// table; the zoo families' tuning rows (`control::k*TuningKeys`) join it
+// under [controller]. [faults], [resilience] and [trace] read and write
+// the runnable `fault::FaultSpec`, `core::ResilienceSpec` and
+// `trace::TraceSpec` directly.
+//
 // Parsing is strict: unknown sections or keys (and keys that don't apply to
-// the declared workload/controller kind) are errors, so a typo like
-// `contorller` cannot silently fall back to defaults.
+// the declared kinds and gates) are errors, so a typo like `contorller`
+// cannot silently fall back to defaults, and a value outside its key's
+// domain fails naming `[section] key` instead of aborting the run.
 #pragma once
 
 #include <cstdint>
@@ -65,61 +76,13 @@ struct ControllerDecl {
   std::string app_model;  // "" = reference model
   std::string db_model;   // "" = reference model
   // Zoo tuning, one config per family; its keys are the family's
-  // `control::k*TuningKeys`. The configs' own `policy` members are unused:
-  // the fields above are the policy.
+  // `control::k*TuningKeys` rows. The configs' own `policy` members are
+  // unused: the fields above are the policy.
   control::PredictiveConfig holt;
   control::QueueingConfig queueing;
   control::PiConfig pi;
 
   bool operator==(const ControllerDecl&) const = default;
-};
-
-/// Declarative fault schedule rates ([faults] section). All-zero MTTFs (the
-/// default) mean a healthy run; the concrete event schedule derives from
-/// the run's root seed, so it is never spelled out in the scenario. Every
-/// default comes from fault::FaultSpec.
-struct FaultDecl {
-  double crash_mttf = fault::FaultSpec{}.crash_mttf_seconds;
-  double slowdown_mttf = fault::FaultSpec{}.slowdown_mttf_seconds;
-  double slowdown_factor = fault::FaultSpec{}.slowdown_factor;
-  double slowdown_duration = fault::FaultSpec{}.slowdown_duration_seconds;
-  double telemetry_loss_mttf = fault::FaultSpec{}.telemetry_loss_mttf_seconds;
-  double telemetry_loss_duration = fault::FaultSpec{}.telemetry_loss_duration_seconds;
-  double agent_silence_mttf = fault::FaultSpec{}.agent_silence_mttf_seconds;
-  double agent_silence_duration = fault::FaultSpec{}.agent_silence_duration_seconds;
-
-  bool operator==(const FaultDecl&) const = default;
-};
-
-/// Declarative resilience switchboard ([resilience] section). Detail keys
-/// are only part of the vocabulary when enabled=true; the watchdog keys
-/// additionally require the dcm controller. Every default comes from
-/// core::ResilienceSpec.
-struct ResilienceDecl {
-  bool enabled = core::ResilienceSpec{}.enabled;
-  double client_timeout = core::ResilienceSpec{}.client_timeout_seconds;
-  int client_retries = core::ResilienceSpec{}.client_retries;
-  double client_backoff = core::ResilienceSpec{}.client_backoff_seconds;
-  double subrequest_timeout = core::ResilienceSpec{}.subrequest_timeout_seconds;
-  int subrequest_retries = core::ResilienceSpec{}.subrequest_retries;
-  double health_period = core::ResilienceSpec{}.health_period_seconds;
-  int health_failure_threshold = core::ResilienceSpec{}.health_failure_threshold;
-  bool replace_failed = core::ResilienceSpec{}.replace_failed;
-  // dcm only:
-  int watchdog_periods = core::ResilienceSpec{}.watchdog_periods;
-  double min_fit_r2 = core::ResilienceSpec{}.min_fit_r2;
-
-  bool operator==(const ResilienceDecl&) const = default;
-};
-
-/// Declarative tracing knobs ([trace] section). `rate` is only part of the
-/// vocabulary when enabled=true; a disabled declaration is emitted as
-/// nothing at all (the section's absence is its canonical "off" spelling).
-struct TraceDecl {
-  bool enabled = false;
-  double rate = 1.0;
-
-  bool operator==(const TraceDecl&) const = default;
 };
 
 struct Scenario {
@@ -137,9 +100,17 @@ struct Scenario {
   core::TopologySpec topology;
   WorkloadDecl workload;
   ControllerDecl controller;
-  FaultDecl faults;
-  ResilienceDecl resilience;
-  TraceDecl trace;
+  /// [faults]: fault schedule rates. All-zero MTTFs (the default) mean a
+  /// healthy run; the concrete schedule derives from the root seed, so it
+  /// is never spelled out in the scenario.
+  fault::FaultSpec faults;
+  /// [resilience]: detail keys apply only when enabled = true; the watchdog
+  /// keys additionally require the dcm controller.
+  core::ResilienceSpec resilience;
+  /// [trace]: `rate` applies only when enabled = true; a disabled spec is
+  /// emitted as nothing at all (the section's absence is its canonical
+  /// "off" spelling).
+  trace::TraceSpec trace;
   double duration_seconds = 300.0;
   double warmup_seconds = 30.0;
   int max_vms = 8;

@@ -56,6 +56,24 @@ TEST(StringsTest, ParseIntRejectsJunk) {
   EXPECT_FALSE(parse_int("x4").has_value());
 }
 
+TEST(StringsTest, ParseIntRejectsOutOfRange) {
+  EXPECT_EQ(parse_int("9223372036854775807").value(), INT64_MAX);
+  EXPECT_EQ(parse_int("-9223372036854775808").value(), INT64_MIN);
+  // strtoll saturates these; they must not parse as the saturated value.
+  EXPECT_FALSE(parse_int("9223372036854775808").has_value());
+  EXPECT_FALSE(parse_int("-9223372036854775809").has_value());
+  EXPECT_FALSE(parse_int("99999999999999999999").has_value());
+}
+
+TEST(StringsTest, ParseUintCoversTheFullRangeAndNoSign) {
+  EXPECT_EQ(parse_uint(" 42 ").value(), 42u);
+  EXPECT_EQ(parse_uint("18446744073709551615").value(), UINT64_MAX);
+  EXPECT_FALSE(parse_uint("18446744073709551616").has_value());
+  EXPECT_FALSE(parse_uint("-1").has_value());
+  EXPECT_FALSE(parse_uint("").has_value());
+  EXPECT_FALSE(parse_uint("1x").has_value());
+}
+
 TEST(StringsTest, StartsWith) {
   EXPECT_TRUE(starts_with("tomcat-vm1", "tomcat"));
   EXPECT_FALSE(starts_with("tom", "tomcat"));

@@ -60,6 +60,25 @@ TEST(ServiceGraphTest, Chain4AddsTheHaproxyHop) {
   EXPECT_EQ(graph.managed_edge(), 1);
 }
 
+// Every graph node keeps its declared name, lb nodes included: the name
+// heads the timeline CSV columns and must tell two lb nodes apart.
+TEST(ServiceGraphTest, LbNodesKeepTheirDeclaredNames) {
+  core::TopologySpec spec;
+  spec.kind = core::TopologySpec::Kind::kGraph;
+  spec.nodes = {{"apache", "web"}, {"tomcat", "app"}, {"proxy", "lb"},
+                {"proxy2", "lb"}, {"mysql", "db"}};
+  spec.edges = {{"apache", "tomcat", 1, false, false},
+                {"tomcat", "proxy", 0, true, true},
+                {"proxy", "proxy2", 1, false, false},
+                {"proxy2", "mysql", 1, false, false}};
+  const ServiceGraph graph = core::build_service_graph(spec, {1, 1, 1}, {1000, 100, 80});
+  EXPECT_EQ(graph.node(2).role, NodeRole::kLb);
+  EXPECT_EQ(graph.node(2).tier.name, "proxy");
+  EXPECT_EQ(graph.node(3).tier.name, "proxy2");
+  // The chain4 hop still reads "haproxy" because that is its declared name.
+  EXPECT_EQ(core::rubbos_4tier_graph({1, 1, 1}, {1000, 100, 80}).node(2).tier.name, "haproxy");
+}
+
 TEST(ServiceGraphTest, DiamondFanOutOrderAndRatios) {
   core::TopologySpec spec;
   spec.kind = core::TopologySpec::Kind::kGraph;

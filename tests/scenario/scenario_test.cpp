@@ -2,10 +2,36 @@
 
 #include <gtest/gtest.h>
 
+#include "common/strings.h"
 #include "scenario/registry.h"
+#include "scenario/result_writer.h"
 
 namespace dcm::scenario {
 namespace {
+
+// Pins the canonical INI emission of every registered scenario under every
+// controller kind, with the resilience and trace gates each on and off, so
+// a change to how the vocabulary is parsed or emitted cannot move a single
+// byte of canonical text unnoticed.
+TEST(ScenarioTest, CanonicalTextIsPinnedAcrossKindsAndGates) {
+  Fnv1a h;
+  for (const std::string& name : scenario_names()) {
+    for (const char* kind : {"none", "ec2", "dcm", "pi", "predictive", "queueing"}) {
+      for (const char* resilience : {"true", "false"}) {
+        for (const char* trace : {"true", "false"}) {
+          const Scenario scenario = apply_overrides(get_scenario(name),
+                                                    {{"controller.kind", kind},
+                                                     {"resilience.enabled", resilience},
+                                                     {"trace.enabled", trace}});
+          const std::string text = scenario.to_text();
+          h.mix(static_cast<uint64_t>(text.size()));
+          h.mix(std::string_view(text));
+        }
+      }
+    }
+  }
+  EXPECT_EQ(h.value(), 11592566049223027230ull);
+}
 
 TEST(ScenarioTest, DefaultsMatchConfigLoaderDefaults) {
   const Scenario scenario = Scenario::parse("");
@@ -215,11 +241,11 @@ TEST(ScenarioTest, FaultAndResilienceVocabularyRoundTrips) {
       "[resilience]\nenabled=true\nclient_timeout=1.5\nclient_retries=3\n"
       "subrequest_timeout=0.5\nhealth_period=4\nwatchdog_periods=3\nmin_fit_r2=0.6\n";
   const Scenario first = Scenario::parse(text);
-  EXPECT_DOUBLE_EQ(first.faults.crash_mttf, 90.0);
+  EXPECT_DOUBLE_EQ(first.faults.crash_mttf_seconds, 90.0);
   EXPECT_DOUBLE_EQ(first.faults.slowdown_factor, 0.5);
-  EXPECT_DOUBLE_EQ(first.faults.agent_silence_duration, 20.0);
+  EXPECT_DOUBLE_EQ(first.faults.agent_silence_duration_seconds, 20.0);
   EXPECT_TRUE(first.resilience.enabled);
-  EXPECT_DOUBLE_EQ(first.resilience.client_timeout, 1.5);
+  EXPECT_DOUBLE_EQ(first.resilience.client_timeout_seconds, 1.5);
   EXPECT_EQ(first.resilience.client_retries, 3);
   EXPECT_EQ(first.resilience.watchdog_periods, 3);
   EXPECT_DOUBLE_EQ(first.resilience.min_fit_r2, 0.6);
@@ -570,6 +596,40 @@ TEST(ScenarioTest, HostileValuesAreRejectedNamingTheirKey) {
       {"quickstart", {{"run.warmup", "300"}, {"run.duration", "300"}}, "[run] warmup"},
       {"quickstart", {{"run.max_vms", "0"}}, "[run] max_vms"},
       {"diamond-cache", {{"run.max_vms", "0"}}, "[run] max_vms"},
+      // Integers beyond int used to narrow silently (4294967396 ran as 100).
+      {"quickstart", {{"workload.users", "4294967396"}}, "[workload] users"},
+      {"quickstart", {{"hardware.app", "4294967297"}}, "[hardware] app"},
+      {"quickstart", {{"run.max_vms", "4294967297"}}, "[run] max_vms"},
+      {"fig5", {{"workload.peak_users", "-4294967295"}}, "[workload] peak_users"},
+      // The seed is unsigned: a negative spelling is not an alias.
+      {"quickstart", {{"run.seed", "-1586005623519383010"}}, "[run] seed"},
+      {"quickstart", {{"run.seed", "18446744073709551616"}}, "[run] seed"},
+      // [controller] policy and dcm keys.
+      {"fig5", {{"controller.headroom", "0.5"}}, "[controller] headroom"},
+      {"fig5", {{"controller.app_model", "-1,0,0"}}, "[controller] app_model"},
+      {"fig5", {{"controller.db_model", "nan,1,1"}}, "[controller] db_model"},
+      {"fig5", {{"controller.db_model", "1,inf,0"}}, "[controller] db_model"},
+      {"fig5-ec2", {{"controller.scale_in_consecutive", "0"}},
+       "[controller] scale_in_consecutive"},
+      {"fig5-ec2", {{"controller.scale_in_consecutive", "-3"}},
+       "[controller] scale_in_consecutive"},
+      {"fig5-ec2", {{"controller.scale_out_util", "nan"}}, "[controller] scale_out_util"},
+      {"fig5-ec2", {{"controller.scale_out_util", "-1"}}, "[controller] scale_out_util"},
+      {"fig5-ec2", {{"controller.scale_in_util", "-0.1"}}, "[controller] scale_in_util"},
+      {"fig5-ec2", {{"controller.scale_in_util", "0.8"}}, "[controller] scale_in_util"},
+      {"fig5-ec2", {{"controller.scale_out_util", "0.3"}}, "[controller] scale_in_util"},
+      {"fig5-ec2", {{"controller.hysteresis", "nan"}}, "[controller] hysteresis"},
+      {"fig5-ec2", {{"controller.sla_rt", "nan"}}, "[controller] sla_rt"},
+      {"fig5-ec2", {{"controller.sla_rt", "-1"}}, "[controller] sla_rt"},
+      {"fig5", {{"controller.control_period", "inf"}}, "[controller] control_period"},
+      {"quickstart",
+       {{"controller.kind", "pi"}, {"controller.kp", "inf"}},
+       "[controller] kp"},
+      {"quickstart",
+       {{"controller.kind", "predictive"}, {"controller.beta", "nan"}},
+       "[controller] beta"},
+      {"quickstart", {{"trace.enabled", "true"}, {"trace.rate", "nan"}}, "[trace] rate"},
+      {"quickstart", {{"trace.enabled", "true"}, {"trace.rate", "1.5"}}, "[trace] rate"},
   };
   for (const Case& c : cases) {
     const std::string label = std::string(c.base) + " " + c.key;
@@ -586,6 +646,36 @@ TEST(ScenarioTest, HostileValuesAreRejectedNamingTheirKey) {
                std::runtime_error);
   EXPECT_THROW(apply_overrides(get_scenario("quickstart"), {{"faults.crash_mttf", "nan"}}),
                std::runtime_error);
+}
+
+// NaN and ±inf lie outside the domain of every numeric key: each one, under
+// every workload and controller kind with every gate open, fails naming its
+// [section] key.
+TEST(ScenarioTest, EveryNumericKeyRejectsNanAndInfinity) {
+  for (const char* base : {"quickstart", "table1-mysql", "fig5", "diamond-cache"}) {
+    for (const char* kind : {"none", "ec2", "dcm", "pi", "predictive", "queueing"}) {
+      const Scenario open = apply_overrides(
+          get_scenario(base),
+          {{"controller.kind", kind}, {"resilience.enabled", "true"}, {"trace.enabled", "true"}});
+      const Config canonical = open.to_config();
+      for (const auto& [section, keys] : canonical.sections()) {
+        for (const auto& [key, value] : keys) {
+          if (!parse_double(value)) continue;  // names, kinds, lists, model triples
+          for (const char* hostile : {"nan", "inf", "-inf"}) {
+            const std::string label = std::string(base) + "/" + kind + " [" + section + "] " +
+                                      key + " = " + hostile;
+            try {
+              apply_overrides(open, {{section + "." + key, hostile}});
+              ADD_FAILURE() << label << ": accepted";
+            } catch (const std::runtime_error& e) {
+              EXPECT_NE(std::string(e.what()).find("[" + section + "] " + key), std::string::npos)
+                  << label << ": " << e.what();
+            }
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(ScenarioTest, KeyAppliesFollowsZooKinds) {

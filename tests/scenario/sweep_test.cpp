@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/rng.h"
+#include "scenario/result_writer.h"
 
 namespace dcm::scenario {
 namespace {
@@ -46,6 +49,27 @@ TEST(ExpandGridTest, SinglePointAxis) {
   const auto runs = expand_grid(plan);
   ASSERT_EQ(runs.size(), 1u);
   EXPECT_EQ(runs[0].scenario.workload.users, 60);
+}
+
+// dcm-result-v1 reports each run's seed as an unsigned decimal; any reported
+// seed, including those >= 2^63, replays its run through run.seed.
+TEST(ExpandGridTest, ReportedSeedsAtOrAboveTwoToThe63Replay) {
+  SweepPlan plan;
+  plan.base = small_base();
+  plan.axes.push_back(parse_axis("workload.users=40,50,60,70"));
+  const auto runs = expand_grid(plan);
+  const auto high = std::find_if(runs.begin(), runs.end(), [](const PlannedRun& run) {
+    return run.scenario.seed >= (uint64_t{1} << 63);
+  });
+  ASSERT_NE(high, runs.end());
+
+  Overrides replay_overrides = high->overrides;
+  replay_overrides.emplace_back("run.seed", std::to_string(high->scenario.seed));
+  const Scenario replay = apply_overrides(plan.base, replay_overrides);
+  EXPECT_EQ(replay.seed, high->scenario.seed);
+  EXPECT_TRUE(Scenario::parse(replay.to_text()) == replay);
+  EXPECT_EQ(result_digest(core::run_experiment(replay.experiment())),
+            result_digest(core::run_experiment(high->scenario.experiment())));
 }
 
 TEST(ExpandGridTest, EmptyValueAxisThrows) {

@@ -84,4 +84,27 @@ if(NOT hostile_err MATCHES "\\[hardware\\] web")
   message(FATAL_ERROR "the hostile-value error must name [hardware] web, got: ${hostile_err}")
 endif()
 
+# The same for the hostile values that used to abort (a [controller] or
+# [trace] value outside its domain) or run silently wrong (an int key
+# overflowing int and narrowing to a small value).
+function(expect_usage_error key)
+  execute_process(
+    COMMAND ${DCM_RUN} ${ARGN} --quiet
+    OUTPUT_QUIET
+    ERROR_VARIABLE err
+    RESULT_VARIABLE rc)
+  if(NOT rc EQUAL 1)
+    message(FATAL_ERROR "dcm_run ${ARGN} must exit 1, got rc=${rc}")
+  endif()
+  string(REPLACE "[" "\\[" key_regex "${key}")
+  string(REPLACE "]" "\\]" key_regex "${key_regex}")
+  if(NOT err MATCHES "${key_regex}")
+    message(FATAL_ERROR "dcm_run ${ARGN} must name ${key}, got: ${err}")
+  endif()
+endfunction()
+expect_usage_error("[controller] headroom" run fig5 --set controller.headroom=0.5)
+expect_usage_error("[trace] rate"
+                   run quickstart --set trace.enabled=true --set trace.rate=nan)
+expect_usage_error("[workload] users" run quickstart --set workload.users=4294967396)
+
 message(STATUS "dcm_run digest labels OK")
