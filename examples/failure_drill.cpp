@@ -50,13 +50,7 @@ DrillOutcome run_drill(bool with_controller) {
   outcome.x_recovered =
       stats.mean_throughput(sim::from_seconds(360.0), sim::from_seconds(480.0));
   outcome.errors = stats.errors();
-  outcome.replacements = 0;
-  if (controller) {
-    for (const auto& action : controller->log().filtered("scale_out")) {
-      (void)action;
-      ++outcome.replacements;
-    }
-  }
+  outcome.replacements = sim::count_events(engine.run_log(), "scale_out");
   return outcome;
 }
 

@@ -7,17 +7,10 @@
 namespace dcm::bus {
 
 Consumer::Consumer(Broker& broker, std::string group, std::string topic)
-    : Consumer(broker, std::move(group), std::move(topic), 0, 1) {}
-
-Consumer::Consumer(Broker& broker, std::string group, std::string topic, int member_index,
-                   int member_count)
     : broker_(&broker), group_(std::move(group)), topic_name_(std::move(topic)) {
-  DCM_CHECK(member_count >= 1);
-  DCM_CHECK(member_index >= 0 && member_index < member_count);
   Topic* t = broker_->find_topic(topic_name_);
   DCM_CHECK_MSG(t != nullptr, "consumer on unknown topic");
   for (int p = 0; p < t->partition_count(); ++p) {
-    if (p % member_count != member_index) continue;
     const auto committed = broker_->committed_offset(group_, topic_name_, p);
     positions_[p] = committed.value_or(t->partition(p).base_offset());
   }
@@ -48,18 +41,6 @@ void Consumer::commit() {
   for (const auto& [p, pos] : positions_) {
     broker_->commit_offset(group_, topic_name_, p, pos);
   }
-}
-
-void Consumer::seek_to_end() {
-  Topic* t = broker_->find_topic(topic_name_);
-  DCM_CHECK(t != nullptr);
-  for (auto& [p, pos] : positions_) pos = t->partition(p).end_offset();
-}
-
-void Consumer::seek_to_beginning() {
-  Topic* t = broker_->find_topic(topic_name_);
-  DCM_CHECK(t != nullptr);
-  for (auto& [p, pos] : positions_) pos = t->partition(p).base_offset();
 }
 
 int64_t Consumer::lag() const {

@@ -19,24 +19,12 @@ class Consumer {
   /// The broker must outlive the consumer. The topic must exist.
   Consumer(Broker& broker, std::string group, std::string topic);
 
-  /// Static group membership (Kafka's group.instance.id pattern): member
-  /// `member_index` of `member_count` owns the partitions p with
-  /// p % member_count == member_index. Members of the same group with the
-  /// same topology share the work without overlap.
-  Consumer(Broker& broker, std::string group, std::string topic, int member_index,
-           int member_count);
-
   /// Fetches up to `max_records` across partitions (round-robin), advancing
   /// the in-memory position. Does not commit.
   std::vector<Record> poll(size_t max_records = 256);
 
   /// Persists current positions to the broker for this group.
   void commit();
-
-  /// Moves the position of every partition to the log end (skip backlog).
-  void seek_to_end();
-  /// Moves the position of every partition to the earliest retained record.
-  void seek_to_beginning();
 
   /// Records available but not yet polled.
   int64_t lag() const;

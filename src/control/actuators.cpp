@@ -1,66 +1,43 @@
 #include "control/actuators.h"
 
-#include "common/logging.h"
 #include "common/strings.h"
 
 namespace dcm::control {
 
-void ControlLog::add(sim::SimTime time, std::string tier, std::string action,
-                     std::string detail) {
-  actions_.push_back(ControlAction{time, std::move(tier), std::move(action), std::move(detail)});
-  if (observer_) observer_(actions_.back());
-}
-
-std::vector<ControlAction> ControlLog::filtered(const std::string& action) const {
-  std::vector<ControlAction> out;
-  for (const auto& a : actions_) {
-    if (a.action == action) out.push_back(a);
-  }
-  return out;
-}
-
-VmAgent::VmAgent(sim::Engine& engine, ntier::NTierApp& app, ControlLog& log)
-    : engine_(&engine), app_(&app), log_(&log) {}
+VmAgent::VmAgent(sim::Engine& engine, ntier::NTierApp& app) : engine_(&engine), app_(&app) {}
 
 bool VmAgent::scale_out(size_t tier_index) {
   ntier::Tier& tier = app_->tier(tier_index);
   if (!tier.scale_out()) return false;
-  log_->add(engine_->now(), tier.name(), "scale_out",
-            str_format("provisioned=%d", tier.provisioned_vm_count()));
-  DCM_LOG_INFO("[%s] scale_out %s -> %d VMs", sim::format_time(engine_->now()).c_str(),
-               tier.name().c_str(), tier.provisioned_vm_count());
+  engine_->record(sim::EventSource::kControl, tier.name(), "scale_out",
+                  str_format("provisioned=%d", tier.provisioned_vm_count()));
   return true;
 }
 
 bool VmAgent::scale_in(size_t tier_index) {
   ntier::Tier& tier = app_->tier(tier_index);
   if (!tier.scale_in()) return false;
-  log_->add(engine_->now(), tier.name(), "scale_in",
-            str_format("provisioned=%d", tier.provisioned_vm_count()));
-  DCM_LOG_INFO("[%s] scale_in %s -> %d VMs", sim::format_time(engine_->now()).c_str(),
-               tier.name().c_str(), tier.provisioned_vm_count());
+  engine_->record(sim::EventSource::kControl, tier.name(), "scale_in",
+                  str_format("provisioned=%d", tier.provisioned_vm_count()));
   return true;
 }
 
-AppAgent::AppAgent(sim::Engine& engine, ntier::NTierApp& app, ControlLog& log)
-    : engine_(&engine), app_(&app), log_(&log) {}
+AppAgent::AppAgent(sim::Engine& engine, ntier::NTierApp& app) : engine_(&engine), app_(&app) {}
 
 void AppAgent::set_thread_pool_size(size_t tier_index, int per_server) {
   ntier::Tier& tier = app_->tier(tier_index);
   if (tier.current_thread_pool_size() == per_server) return;
   tier.set_thread_pool_size(per_server);
-  log_->add(engine_->now(), tier.name(), "set_stp", str_format("stp=%d", per_server));
-  DCM_LOG_INFO("[%s] set %s thread pool -> %d/server", sim::format_time(engine_->now()).c_str(),
-               tier.name().c_str(), per_server);
+  engine_->record(sim::EventSource::kControl, tier.name(), "set_stp",
+                  str_format("stp=%d", per_server));
 }
 
 void AppAgent::set_downstream_connections(size_t tier_index, int per_server) {
   ntier::Tier& tier = app_->tier(tier_index);
   if (tier.current_downstream_connections() == per_server) return;
   tier.set_downstream_connections(per_server);
-  log_->add(engine_->now(), tier.name(), "set_conns", str_format("conns=%d", per_server));
-  DCM_LOG_INFO("[%s] set %s downstream conns -> %d/server",
-               sim::format_time(engine_->now()).c_str(), tier.name().c_str(), per_server);
+  engine_->record(sim::EventSource::kControl, tier.name(), "set_conns",
+                  str_format("conns=%d", per_server));
 }
 
 }  // namespace dcm::control

@@ -1,50 +1,22 @@
 // The two actuators of the DCM architecture (paper Sec. IV).
 //
 // VmAgent — VM-level scaling: start/stop VMs through the tier (the
-// hypervisor-API substitute), recording every action.
+// hypervisor-API substitute).
 // AppAgent — fine-grained soft-resource re-allocation: live-resizes server
 // thread pools and DB connection pools.
+//
+// Every action that takes effect is recorded once in the engine's run log
+// (source kControl, subject = the tier).
 #pragma once
-
-#include <functional>
-#include <string>
-#include <vector>
 
 #include "ntier/app.h"
 #include "sim/engine.h"
 
 namespace dcm::control {
 
-struct ControlAction {
-  sim::SimTime time = 0;
-  std::string tier;
-  std::string action;  // "scale_out" | "scale_in" | "set_stp" | "set_conns"
-  std::string detail;
-};
-
-class ControlLog {
- public:
-  void add(sim::SimTime time, std::string tier, std::string action, std::string detail);
-  const std::vector<ControlAction>& actions() const { return actions_; }
-  /// Actions of one kind (e.g. all "scale_out"s) for bench reporting.
-  std::vector<ControlAction> filtered(const std::string& action) const;
-
-  /// Live tap: invoked (after recording) for every action added. Every
-  /// control-plane mutation — VM scaling, soft-resource resizes, watchdog
-  /// freeze/resume — flows through add(), so one observer sees them all.
-  /// Used by the tracer to annotate in-flight traces with actuation events.
-  void set_observer(std::function<void(const ControlAction&)> observer) {
-    observer_ = std::move(observer);
-  }
-
- private:
-  std::vector<ControlAction> actions_;
-  std::function<void(const ControlAction&)> observer_;
-};
-
 class VmAgent {
  public:
-  VmAgent(sim::Engine& engine, ntier::NTierApp& app, ControlLog& log);
+  VmAgent(sim::Engine& engine, ntier::NTierApp& app);
 
   /// Returns false when the tier is already at its max (or min) size.
   bool scale_out(size_t tier_index);
@@ -53,12 +25,11 @@ class VmAgent {
  private:
   sim::Engine* engine_;
   ntier::NTierApp* app_;
-  ControlLog* log_;
 };
 
 class AppAgent {
  public:
-  AppAgent(sim::Engine& engine, ntier::NTierApp& app, ControlLog& log);
+  AppAgent(sim::Engine& engine, ntier::NTierApp& app);
 
   /// Sets the per-server worker thread pool of a tier (no-op if unchanged).
   void set_thread_pool_size(size_t tier_index, int per_server);
@@ -68,7 +39,6 @@ class AppAgent {
  private:
   sim::Engine* engine_;
   ntier::NTierApp* app_;
-  ControlLog* log_;
 };
 
 }  // namespace dcm::control

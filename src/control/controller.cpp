@@ -14,8 +14,8 @@ ControllerBase::ControllerBase(sim::Engine& engine, ntier::NTierApp& app, bus::B
       app_(&app),
       policy_(policy),
       name_(std::move(name)),
-      vm_agent_(engine, app, log_),
-      app_agent_(engine, app, log_),
+      vm_agent_(engine, app),
+      app_agent_(engine, app),
       low_util_streak_(app.tier_count(), 0),
       previous_util_(app.tier_count(), 0.0),
       has_previous_util_(app.tier_count(), false),

@@ -49,11 +49,6 @@ class ControllerBase {
   void start();
   void stop();
 
-  const ControlLog& log() const { return log_; }
-  /// Live tap on every recorded control action (see ControlLog::set_observer).
-  void set_action_observer(std::function<void(const ControlAction&)> observer) {
-    log_.set_observer(std::move(observer));
-  }
   const std::string& name() const { return name_; }
   /// The effective VM-level policy (read-only; registry tests inspect it).
   const ScalingPolicy& policy() const { return policy_; }
@@ -91,9 +86,6 @@ class ControllerBase {
   const ntier::NTierApp& app() const { return *app_; }
   VmAgent& vm_agent() { return vm_agent_; }
   AppAgent& app_agent() { return app_agent_; }
-  /// Concrete policies may record their own actions (e.g. watchdog
-  /// freeze/resume transitions) alongside the actuators'.
-  ControlLog& mutable_log() { return log_; }
 
  private:
   void control_tick();
@@ -108,7 +100,6 @@ class ControllerBase {
   ntier::NTierApp* app_;
   ScalingPolicy policy_;
   std::string name_;
-  ControlLog log_;
   VmAgent vm_agent_;
   AppAgent app_agent_;
   std::unique_ptr<bus::Consumer> consumer_;

@@ -113,9 +113,8 @@ void DcmController::decide(const std::vector<TierObservation>& observations) {
 void DcmController::set_frozen(bool frozen, const char* reason) {
   if (frozen == frozen_) return;
   frozen_ = frozen;
-  mutable_log().add(engine().now(), "*", frozen ? "watchdog_freeze" : "watchdog_resume",
-                    reason);
-  DCM_LOG_WARN("dcm: %s soft-resource actuation (%s)", frozen ? "froze" : "resumed", reason);
+  engine().record(sim::EventSource::kControl, "*",
+                  frozen ? "watchdog_freeze" : "watchdog_resume", reason);
 }
 
 void DcmController::reallocate_soft_resources() {

@@ -7,6 +7,7 @@
 #include "common/check.h"
 #include "common/rng.h"
 #include "control/ec2_autoscale.h"
+#include "fault/fault_injector.h"
 #include "ntier/monitor_agent.h"
 #include "workload/trace_player.h"
 
@@ -46,11 +47,7 @@ TierTimeline::TierTimeline(const std::string& tier_name)
       concurrency(tier_name + ".concurrency", sim::kNanosPerSecond) {}
 
 int ExperimentResult::action_count(const std::string& action, const std::string& tier) const {
-  int n = 0;
-  for (const auto& a : actions) {
-    if (a.action == action && (tier.empty() || a.tier == tier)) ++n;
-  }
-  return n;
+  return sim::count_events(actions, action, tier);
 }
 
 ExperimentResult run_experiment(const ExperimentConfig& config) {
@@ -151,14 +148,6 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
     controller = control::make_controller(engine, app, broker, config.controller);
   }
 
-  if (controller && tracer) {
-    // Soft-actuation / scaling / watchdog events annotate overlapping traces.
-    trace::Tracer* tap = tracer.get();
-    controller->set_action_observer([tap](const control::ControlAction& a) {
-      tap->annotate(a.time, a.action, a.tier + " " + a.detail);
-    });
-  }
-
   std::unique_ptr<fault::FaultInjector> injector;
   if (config.faults.any_enabled()) {
     injector = std::make_unique<fault::FaultInjector>(
@@ -229,19 +218,10 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
     result.retries += app.tier(i).subrequest_retries();
   }
 
-  // Merge the injected faults with every tier's recovery actions into one
-  // time-sorted trail (stable: injector entries before tier events on ties,
-  // tiers in depth order).
-  if (injector) result.fault_log = injector->log();
-  for (size_t i = 0; i < app.tier_count(); ++i) {
-    for (const auto& event : app.tier(i).events()) {
-      result.fault_log.push_back(
-          fault::FaultLogEntry{event.at, event.kind, event.detail, app.tier(i).name()});
-    }
+  for (const sim::RunEvent& event : engine.run_log()) {
+    (event.source == sim::EventSource::kControl ? result.actions : result.fault_log)
+        .push_back(event);
   }
-  std::stable_sort(
-      result.fault_log.begin(), result.fault_log.end(),
-      [](const fault::FaultLogEntry& a, const fault::FaultLogEntry& b) { return a.at < b.at; });
 
   metrics::Welford rt;
   double rt_max = 0.0;
@@ -277,18 +257,7 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
           ? static_cast<double>(result.completed) / result.total_vm_seconds
           : 0.0;
 
-  if (controller) result.actions = controller->log().actions();
-
-  if (tracer) {
-    // Fault-injection events (already time-sorted) join the annotation
-    // stream post-run; the report overlays them on overlapping traces.
-    for (const auto& entry : result.fault_log) {
-      tracer->annotate(entry.at, entry.kind,
-                       entry.target.empty() ? entry.detail
-                                            : entry.target + " " + entry.detail);
-    }
-    result.trace_report = trace::build_report(*tracer);
-  }
+  if (tracer) result.trace_report = trace::build_report(*tracer, engine.run_log());
   result.events_dispatched = engine.events_dispatched();
   return result;
 }

@@ -10,7 +10,6 @@
 #include <string>
 #include <vector>
 
-#include "control/actuators.h"
 #include "control/controller_registry.h"
 #include "control/dcm_controller.h"
 #include "control/pi_controller.h"
@@ -18,9 +17,9 @@
 #include "control/queueing_controller.h"
 #include "control/scaling_policy.h"
 #include "core/topologies.h"
-#include "fault/fault_injector.h"
 #include "fault/fault_plan.h"
 #include "metrics/timeseries.h"
+#include "sim/run_log.h"
 #include "trace/attribution.h"
 #include "workload/client_stats.h"
 #include "workload/trace.h"
@@ -119,7 +118,9 @@ struct TierTimeline {
 struct ExperimentResult {
   workload::ClientStats client;
   std::vector<TierTimeline> tiers;
-  std::vector<control::ControlAction> actions;
+  /// The run log's kControl events (subject = tier, or "*" for the DCM
+  /// watchdog), in record order.
+  std::vector<sim::RunEvent> actions;
 
   // Post-warmup summary.
   double mean_throughput = 0.0;  // req/s
@@ -134,9 +135,9 @@ struct ExperimentResult {
   uint64_t retries = 0;   // client + inter-tier re-issued attempts
   double goodput = 0.0;   // post-warmup req/s completing within the bound
   double error_rate = 0.0;  // post-warmup errors / (errors + completions)
-  /// Injected faults and recovery actions (injector log merged with every
-  /// tier's eject/replace events), sorted by time.
-  std::vector<fault::FaultLogEntry> fault_log;
+  /// The run log's kFault events: injected faults and the tiers'
+  /// eject/replace recovery actions, in record (= time) order.
+  std::vector<sim::RunEvent> fault_log;
 
   /// Resource-efficiency accounting (the paper's motivation): provisioned
   /// VM-seconds per tier over the whole run (booting + active + draining

@@ -1,7 +1,8 @@
 #include "fault/fault_injector.h"
 
+#include <utility>
+
 #include "common/check.h"
-#include "common/logging.h"
 #include "common/strings.h"
 
 namespace dcm::fault {
@@ -28,9 +29,8 @@ ntier::Tier* FaultInjector::next_target_tier() {
   return &app_->tier(depth);
 }
 
-void FaultInjector::record(const char* kind, const std::string& target,
-                           const std::string& detail) {
-  log_.push_back(FaultLogEntry{engine_->now(), kind, target, detail});
+void FaultInjector::record(const char* kind, std::string target, std::string detail) {
+  engine_->record(sim::EventSource::kFault, std::move(target), kind, std::move(detail));
 }
 
 void FaultInjector::inject(const FaultEvent& event) {

@@ -4,7 +4,8 @@
 // replacements boot) by a deterministic rotation over the scalable tiers
 // (depth >= 1), always hitting the oldest ACTIVE VM of the chosen tier.
 // Every action — including a skipped injection with no eligible target — is
-// recorded in an in-order log for the dcm-result-v1 per-fault action trail.
+// recorded in the engine's run log (source kFault, subject = the VM id or
+// topic, "" when skipped) for the dcm-result-v1 per-fault action trail.
 #pragma once
 
 #include <string>
@@ -18,13 +19,6 @@
 
 namespace dcm::fault {
 
-struct FaultLogEntry {
-  sim::SimTime at = 0;
-  std::string kind;    // fault_kind_name(), or "vm_recover" / "skipped"
-  std::string target;  // VM id / topic name / "" when skipped
-  std::string detail;
-};
-
 class FaultInjector {
  public:
   /// `fleet` may be nullptr (agent-silence events are then skipped). All
@@ -36,7 +30,6 @@ class FaultInjector {
   FaultInjector& operator=(const FaultInjector&) = delete;
 
   const FaultPlan& plan() const { return plan_; }
-  const std::vector<FaultLogEntry>& log() const { return log_; }
   /// Events that actually hit a target (skips excluded).
   int injected_count() const { return injected_; }
 
@@ -45,14 +38,14 @@ class FaultInjector {
   void inject(const FaultEvent& event);
   /// Next target tier by rotation over depths 1..tier_count-1.
   ntier::Tier* next_target_tier();
-  void record(const char* kind, const std::string& target, const std::string& detail);
+  /// kind: fault_kind_name(), or "vm_recover" / "skipped".
+  void record(const char* kind, std::string target, std::string detail);
 
   sim::Engine* engine_;
   ntier::NTierApp* app_;
   bus::Broker* broker_;
   ntier::MonitorFleet* fleet_;
   FaultPlan plan_;
-  std::vector<FaultLogEntry> log_;
   std::vector<sim::EventHandle> armed_;
   size_t rotation_ = 0;
   int injected_ = 0;

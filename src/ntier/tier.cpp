@@ -107,8 +107,6 @@ void Tier::dispatch(const RequestPtr& request, DoneFn done) {
 bool Tier::scale_out() {
   if (provisioned_vm_count() >= config_.max_vms) return false;
   launch_vm(config_.vm_boot_time);
-  DCM_LOG_DEBUG("tier %s: scale-out at %s", config_.name.c_str(),
-                sim::format_time(engine_->now()).c_str());
   return true;
 }
 
@@ -126,7 +124,6 @@ bool Tier::scale_in() {
     DCM_LOG_DEBUG("tier %s: %s %s", config_.name.c_str(), v.id().c_str(),
                   failed ? "failed mid-drain" : "stopped");
   });
-  DCM_LOG_DEBUG("tier %s: scale-in (draining %s)", config_.name.c_str(), victim->id().c_str());
   return true;
 }
 
@@ -136,8 +133,7 @@ bool Tier::fail_vm(const std::string& vm_id) {
     if (vm->state() == VmState::kStopped || vm->state() == VmState::kFailed) return false;
     if (vm->state() == VmState::kActive) balancer_.remove(&vm->server());
     vm->fail();
-    DCM_LOG_WARN("tier %s: %s FAILED at %s", config_.name.c_str(), vm->id().c_str(),
-                 sim::format_time(engine_->now()).c_str());
+    record_fault("vm_fail", *vm);
     return true;
   }
   return false;
@@ -158,8 +154,6 @@ bool Tier::inject_crash(const std::string& vm_id) {
     // crash yet. The offline server fast-fails routed requests until the
     // health sweep ejects it.
     vm->fail();
-    DCM_LOG_WARN("tier %s: %s crashed silently at %s", config_.name.c_str(), vm->id().c_str(),
-                 sim::format_time(engine_->now()).c_str());
     return true;
   }
   return false;
@@ -172,8 +166,8 @@ Vm* Tier::oldest_active_vm() {
   return nullptr;
 }
 
-void Tier::record_event(const char* kind, const std::string& detail) {
-  events_.push(TierEvent{engine_->now(), kind, detail});
+void Tier::record_fault(const char* kind, const Vm& vm) {
+  engine_->record(sim::EventSource::kFault, vm.id(), kind, config_.name);
 }
 
 void Tier::enable_health_checks(const HealthCheckConfig& config) {
@@ -199,14 +193,9 @@ void Tier::health_sweep() {
     if (vm.state() != VmState::kFailed) continue;
     if (!balancer_.contains(&vm.server())) continue;
     balancer_.remove(&vm.server());
-    record_event("lb_eject", vm.id());
-    DCM_LOG_WARN("tier %s: health check ejected %s at %s", config_.name.c_str(),
-                 vm.id().c_str(), sim::format_time(engine_->now()).c_str());
+    record_fault("lb_eject", vm);
     if (health_.replace_failed && provisioned_vm_count() < config_.max_vms) {
-      Vm& fresh = launch_vm(config_.vm_boot_time);
-      record_event("replace_launch", fresh.id());
-      DCM_LOG_INFO("tier %s: launched replacement %s", config_.name.c_str(),
-                   fresh.id().c_str());
+      record_fault("replace_launch", launch_vm(config_.vm_boot_time));
     }
   }
 }

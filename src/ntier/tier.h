@@ -11,8 +11,10 @@
 // periodic probe sweep that ejects FAILED VMs from the balancer and launches
 // replacements, and arms the balancer's passive consecutive-failure
 // tracking; set_subrequest_retry() gives every server a deadline/retry
-// discipline on its downstream calls. Recovery actions are recorded in an
-// in-order TierEvent log for the per-fault action trail.
+// discipline on its downstream calls. Health-check ejections, replacement
+// launches and fail_vm crashes are recorded in the engine's run log (source
+// kFault, subject = the VM id, detail = the tier name) for the per-fault
+// action trail.
 #pragma once
 
 #include <cstdint>
@@ -48,66 +50,6 @@ struct HealthCheckConfig {
   bool replace_failed = true;   // launch a replacement for each ejected VM
 };
 
-/// One recovery action taken by the tier (for the chaos action log).
-struct TierEvent {
-  sim::SimTime at = 0;
-  std::string kind;    // "lb_eject" | "replace_launch"
-  std::string detail;  // e.g. the VM id involved
-};
-
-/// Bounded recovery-action log. The old unbounded vector grew for the whole
-/// run, which made an endless chaos soak an unbounded memory leak; the ring
-/// keeps the most recent kCapacity events and counts what it sheds. Every
-/// registered scenario produces far fewer than kCapacity events, so below
-/// the cap the observable sequence (size, order, contents) is identical to
-/// the vector it replaced — result digests are unchanged.
-class TierEventLog {
- public:
-  static constexpr size_t kCapacity = 1024;
-
-  void push(TierEvent event) {
-    if (ring_.size() < kCapacity) {
-      ring_.push_back(std::move(event));
-      return;
-    }
-    ring_[head_] = std::move(event);  // overwrite the oldest
-    head_ = (head_ + 1) % kCapacity;
-    ++dropped_;
-  }
-
-  /// Events currently retained, oldest first.
-  size_t size() const { return ring_.size(); }
-  /// Oldest events shed to stay within kCapacity.
-  uint64_t dropped() const { return dropped_; }
-  const TierEvent& operator[](size_t i) const {
-    return ring_[(head_ + i) % ring_.size()];
-  }
-
-  class const_iterator {
-   public:
-    const_iterator(const TierEventLog* log, size_t i) : log_(log), i_(i) {}
-    const TierEvent& operator*() const { return (*log_)[i_]; }
-    const TierEvent* operator->() const { return &(*log_)[i_]; }
-    const_iterator& operator++() {
-      ++i_;
-      return *this;
-    }
-    bool operator!=(const const_iterator& other) const { return i_ != other.i_; }
-    bool operator==(const const_iterator& other) const { return i_ == other.i_; }
-
-   private:
-    const TierEventLog* log_;
-    size_t i_;
-  };
-  const_iterator begin() const { return {this, 0}; }
-  const_iterator end() const { return {this, ring_.size()}; }
-
- private:
-  std::vector<TierEvent> ring_;  // grows once to kCapacity, then wraps
-  size_t head_ = 0;              // index of the oldest retained event
-  uint64_t dropped_ = 0;
-};
-
 class Tier {
  public:
   /// Initial VMs come up ACTIVE immediately (the experiment starts with a
@@ -134,13 +76,15 @@ class Tier {
 
   /// Failure injection: crashes the VM with the given id (must be ACTIVE,
   /// BOOTING, or DRAINING). Active VMs are pulled from the balancer first
-  /// so no new work routes to the corpse. Returns false if no such VM.
+  /// so no new work routes to the corpse. Recorded as a `vm_fail` run
+  /// event. Returns false if no such VM.
   bool fail_vm(const std::string& vm_id);
   /// Crashes the oldest ACTIVE VM (convenience for chaos tests).
   bool fail_one();
   /// Silent crash: like fail_vm but the balancer keeps routing to the dead
   /// server (requests fail fast) until health checks detect and eject it —
   /// the realistic failure mode the resilience stack must recover from.
+  /// Not recorded here: the injecting caller records the crash.
   bool inject_crash(const std::string& vm_id);
   int failed_vm_count() const;
 
@@ -152,10 +96,6 @@ class Tier {
   /// balancer's passive consecutive-failure skipping is armed. Call once.
   void enable_health_checks(const HealthCheckConfig& config);
   bool health_checks_enabled() const { return health_enabled_; }
-
-  /// Recovery actions taken so far, in simulation order (bounded; see
-  /// TierEventLog).
-  const TierEventLog& events() const { return events_; }
 
   // --- state ---
   const std::string& name() const { return config_.name; }
@@ -200,7 +140,7 @@ class Tier {
   void on_vm_active(Vm& vm);
   void install_out_edges(Server& server) const;
   void health_sweep();
-  void record_event(const char* kind, const std::string& detail);
+  void record_fault(const char* kind, const Vm& vm);
 
   sim::Engine* engine_;
   TierConfig config_;
@@ -218,7 +158,6 @@ class Tier {
   bool health_enabled_ = false;
   HealthCheckConfig health_;
   sim::EventHandle health_event_;
-  TierEventLog events_;
 };
 
 }  // namespace dcm::ntier

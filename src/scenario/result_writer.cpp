@@ -22,8 +22,8 @@ double bucket_sum(const std::vector<metrics::BucketStat>& buckets, size_t i) {
 
 void print_actions(const core::ExperimentResult& result) {
   for (const auto& action : result.actions) {
-    std::printf("  %8.1fs  %-7s %-10s %s\n", sim::to_seconds(action.time),
-                action.tier.c_str(), action.action.c_str(), action.detail.c_str());
+    std::printf("  %8.1fs  %-7s %-10s %s\n", sim::to_seconds(action.at),
+                action.subject.c_str(), action.kind.c_str(), action.detail.c_str());
   }
 }
 
@@ -101,16 +101,16 @@ uint64_t result_digest(const core::ExperimentResult& result) {
   }
   h.mix(static_cast<uint64_t>(result.actions.size()));
   for (const auto& action : result.actions) {
-    h.mix(action.time);
-    h.mix(action.tier);
-    h.mix(action.action);
+    h.mix(action.at);
+    h.mix(action.subject);
+    h.mix(action.kind);
     h.mix(action.detail);
   }
   h.mix(static_cast<uint64_t>(result.fault_log.size()));
   for (const auto& entry : result.fault_log) {
     h.mix(entry.at);
     h.mix(entry.kind);
-    h.mix(entry.target);
+    h.mix(entry.subject);
     h.mix(entry.detail);
   }
   return h.value();
@@ -143,8 +143,14 @@ uint64_t trace_digest(const trace::TraceReport& report) {
   }
   h.mix(static_cast<uint64_t>(report.annotations.size()));
   for (const auto& annotation : report.annotations) {
+    // Hashed as the bytes of "<subject> <detail>" (bare detail when there
+    // is no subject), the one-line spelling annotations have always pinned.
     h.mix(annotation.at);
     h.mix(annotation.kind);
+    if (!annotation.subject.empty()) {
+      h.mix(annotation.subject);
+      h.mix(std::string_view(" "));
+    }
     h.mix(annotation.detail);
   }
   h.mix(static_cast<uint64_t>(report.attribution.size()));
@@ -232,7 +238,7 @@ void write_result_json(std::ostream& out, const std::string& name,
       out << (f == 0 ? "\n" : ",\n")
           << "        {\"t\": " << json_number(sim::to_seconds(entry.at))
           << ", \"kind\": \"" << json_escape(entry.kind) << "\", \"target\": \""
-          << json_escape(entry.target) << "\", \"detail\": \"" << json_escape(entry.detail)
+          << json_escape(entry.subject) << "\", \"detail\": \"" << json_escape(entry.detail)
           << "\"}";
     }
     out << (r.fault_log.empty() ? "]" : "\n      ]");
@@ -405,7 +411,7 @@ void print_summary(const core::ExperimentResult& result) {
     std::printf("fault log             : %zu entries\n", result.fault_log.size());
     for (const auto& entry : result.fault_log) {
       std::printf("  %8.1fs  %-14s %-10s %s\n", sim::to_seconds(entry.at),
-                  entry.kind.c_str(), entry.target.c_str(), entry.detail.c_str());
+                  entry.kind.c_str(), entry.subject.c_str(), entry.detail.c_str());
     }
   }
 }

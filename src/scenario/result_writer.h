@@ -4,8 +4,9 @@
 //
 // Also home of the result digest: FNV-1a over the raw bit patterns of the
 // completed-request trace (per-second response-time/throughput buckets,
-// every per-tier timeline, the controller action log). It is intentionally
-// exact — no tolerances — because determinism is a bit-for-bit property.
+// every per-tier timeline, the run log's actions and fault entries). It is
+// intentionally exact — no tolerances — because determinism is a
+// bit-for-bit property.
 // The same digest guards single runs (DeterminismDigestTest), sweeps
 // (--jobs 1 vs --jobs N must match), and Debug-vs-Release builds.
 #pragma once

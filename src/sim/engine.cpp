@@ -1,6 +1,8 @@
 #include "sim/engine.h"
 
 #include <cstdio>
+#include <string>
+#include <utility>
 
 #include "common/check.h"
 #include "sim/time.h"
@@ -91,6 +93,12 @@ void Engine::cancel_periodic(uint32_t slot, uint32_t generation) {
   task.fn.reset();  // empty if we are inside fire_periodic; the moved-out body cleans up
   task.next_free = periodic_free_head_;
   periodic_free_head_ = slot;
+}
+
+void Engine::record(EventSource source, std::string subject, std::string kind,
+                    std::string detail) {
+  run_log_.push_back(
+      RunEvent{now_, source, std::move(subject), std::move(kind), std::move(detail)});
 }
 
 void Engine::run_until(SimTime end) {

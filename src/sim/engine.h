@@ -1,15 +1,17 @@
 // Discrete-event simulation engine.
 //
 // Single-threaded, deterministic: events fire in (time, scheduling-order)
-// order. Components hold a reference to the engine, schedule callbacks, and
-// read the clock via now().
+// order. Components hold a reference to the engine, schedule callbacks,
+// read the clock via now(), and record run-level events via record().
 #pragma once
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "sim/arena.h"
 #include "sim/event_queue.h"
+#include "sim/run_log.h"
 #include "sim/time.h"
 
 namespace dcm::sim {
@@ -52,6 +54,12 @@ class Engine {
   /// friends). Everything allocated from it must die before the engine does.
   Arena& arena() { return arena_; }
 
+  /// Appends one run event stamped now() to the append-only run log.
+  void record(EventSource source, std::string subject, std::string kind, std::string detail);
+
+  /// Every recorded run event, in record order (which is sim-time order).
+  const std::vector<RunEvent>& run_log() const { return run_log_; }
+
  private:
   friend class EventHandle;
   static constexpr uint32_t kNilSlot = 0xffffffffu;
@@ -82,6 +90,7 @@ class Engine {
   uint64_t dispatched_ = 0;
   std::vector<PeriodicTask> periodics_;
   uint32_t periodic_free_head_ = kNilSlot;
+  std::vector<RunEvent> run_log_;
 };
 
 }  // namespace dcm::sim

@@ -1,8 +1,7 @@
 #include "trace/attribution.h"
 
 #include <algorithm>
-
-#include "common/check.h"
+#include <utility>
 
 namespace dcm::trace {
 namespace {
@@ -97,11 +96,12 @@ std::vector<EdgeAttributionRow> LatencyAttribution::edge_rows() const {
   return rows;
 }
 
-std::shared_ptr<const TraceReport> build_report(const Tracer& tracer) {
+std::shared_ptr<const TraceReport> build_report(const Tracer& tracer,
+                                                std::vector<sim::RunEvent> run_log) {
   auto report = std::make_shared<TraceReport>();
   report->spec = tracer.spec();
   report->sampled = tracer.sampled();
-  report->annotations = tracer.annotations();
+  report->annotations = std::move(run_log);
 
   LatencyAttribution attribution;
   for (const auto& context : tracer.traces()) {
@@ -114,18 +114,6 @@ std::shared_ptr<const TraceReport> build_report(const Tracer& tracer) {
   report->attribution = attribution.rows();
   report->edge_attribution = attribution.edge_rows();
   return report;
-}
-
-std::vector<TraceAnnotation> annotations_overlapping(const TraceReport& report,
-                                                     const TraceContext& trace) {
-  DCM_CHECK(trace.finalized);
-  std::vector<TraceAnnotation> overlapping;
-  for (const auto& annotation : report.annotations) {
-    if (annotation.at >= trace.started && annotation.at <= trace.finished) {
-      overlapping.push_back(annotation);
-    }
-  }
-  return overlapping;
 }
 
 }  // namespace dcm::trace

@@ -17,6 +17,7 @@
 #include <utility>
 #include <vector>
 
+#include "sim/run_log.h"
 #include "trace/tracer.h"
 
 namespace dcm::trace {
@@ -76,24 +77,22 @@ class LatencyAttribution {
 };
 
 /// The exported view of one run's tracing: counts, every finalized trace
-/// (span streams in sampling order), run-level annotations, and the folded
-/// attribution table.
+/// (span streams in sampling order), the run's control/fault events as
+/// annotations, and the folded attribution table.
 struct TraceReport {
   TraceSpec spec;
   uint64_t sampled = 0;    // contexts handed out
   uint64_t finalized = 0;  // settled before the run ended
   uint64_t completed = 0;  // finalized with ok=true
   std::vector<std::shared_ptr<const TraceContext>> traces;  // finalized only
-  std::vector<TraceAnnotation> annotations;
+  std::vector<sim::RunEvent> annotations;  // the run log, in record order
   std::vector<AttributionRow> attribution;
   std::vector<EdgeAttributionRow> edge_attribution;
 };
 
-/// Builds the report from everything the tracer collected.
-std::shared_ptr<const TraceReport> build_report(const Tracer& tracer);
-
-/// Annotations overlapping [trace.started, trace.finished].
-std::vector<TraceAnnotation> annotations_overlapping(const TraceReport& report,
-                                                     const TraceContext& trace);
+/// Builds the report from everything the tracer collected, annotated with
+/// the run's event log.
+std::shared_ptr<const TraceReport> build_report(const Tracer& tracer,
+                                                std::vector<sim::RunEvent> run_log);
 
 }  // namespace dcm::trace

@@ -31,8 +31,4 @@ std::shared_ptr<TraceContext> Tracer::maybe_sample(uint64_t request_id, int serv
   return context;
 }
 
-void Tracer::annotate(sim::SimTime at, std::string kind, std::string detail) {
-  annotations_.push_back(TraceAnnotation{at, std::move(kind), std::move(detail)});
-}
-
 }  // namespace dcm::trace

@@ -4,9 +4,10 @@
 // hash of the trace seed and the request id against the configured rate —
 // no Rng stream is consumed, so the simulation's event/draw sequence is
 // bit-identical with tracing on or off, at any rate), hands out the
-// TraceContext the instrumentation hooks append spans to, and records
-// run-level annotations (soft-resource actuations, watchdog transitions,
-// injected faults) that the report later overlays on overlapping traces.
+// TraceContext the instrumentation hooks append spans to. The run-level
+// events the report overlays (soft-resource actuations, watchdog
+// transitions, injected faults) come from the engine's run log, which the
+// report takes whole once the run ends.
 #pragma once
 
 #include <cstdint>
@@ -28,14 +29,6 @@ struct TraceSpec {
   bool operator==(const TraceSpec&) const = default;
 };
 
-/// A run-level event overlapping sampled traces (controller actuations,
-/// injected faults). Purely observational, like the spans themselves.
-struct TraceAnnotation {
-  sim::SimTime at = 0;
-  std::string kind;    // "set_stp", "crash", "watchdog_freeze", ...
-  std::string detail;  // tier/target + parameters
-};
-
 class Tracer {
  public:
   /// `seed` is the derived trace-stream seed (SeedStream::kTrace).
@@ -54,18 +47,13 @@ class Tracer {
   std::shared_ptr<TraceContext> maybe_sample(uint64_t request_id, int servlet,
                                              sim::SimTime now);
 
-  /// Records a run-level annotation (observation-only).
-  void annotate(sim::SimTime at, std::string kind, std::string detail);
-
   uint64_t sampled() const { return static_cast<uint64_t>(traces_.size()); }
   const std::vector<std::shared_ptr<TraceContext>>& traces() const { return traces_; }
-  const std::vector<TraceAnnotation>& annotations() const { return annotations_; }
 
  private:
   uint64_t seed_;
   TraceSpec spec_;
   std::vector<std::shared_ptr<TraceContext>> traces_;
-  std::vector<TraceAnnotation> annotations_;
 };
 
 }  // namespace dcm::trace

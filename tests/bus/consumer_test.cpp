@@ -88,27 +88,6 @@ TEST_F(ConsumerTest, IndependentGroups) {
   EXPECT_EQ(b.poll().size(), 1u);
 }
 
-TEST_F(ConsumerTest, SeekToEndSkipsBacklog) {
-  Producer producer(broker_);
-  for (int i = 0; i < 5; ++i) producer.send("t", "k", "old", i);
-  Consumer consumer(broker_, "g", "t");
-  consumer.seek_to_end();
-  EXPECT_TRUE(consumer.poll().empty());
-  producer.send("t", "k", "new", 10);
-  const auto records = consumer.poll();
-  ASSERT_EQ(records.size(), 1u);
-  EXPECT_EQ(records[0].value, "new");
-}
-
-TEST_F(ConsumerTest, SeekToBeginningReplays) {
-  Producer producer(broker_);
-  producer.send("t", "k", "v", 1);
-  Consumer consumer(broker_, "g", "t");
-  EXPECT_EQ(consumer.poll().size(), 1u);
-  consumer.seek_to_beginning();
-  EXPECT_EQ(consumer.poll().size(), 1u);
-}
-
 TEST_F(ConsumerTest, LagCountsUnpolledRecords) {
   Producer producer(broker_);
   Consumer consumer(broker_, "g", "t");

@@ -11,12 +11,14 @@ class ActuatorsTest : public ::testing::Test {
  protected:
   ActuatorsTest()
       : app_(engine_, core::build_service_graph({}, {1, 1, 1}, {1000, 100, 80}), /*seed=*/1),
-        vm_agent_(engine_, app_, log_),
-        app_agent_(engine_, app_, log_) {}
+        vm_agent_(engine_, app_),
+        app_agent_(engine_, app_) {}
+
+  const std::vector<sim::RunEvent>& log() const { return engine_.run_log(); }
+  int count(const char* kind) const { return sim::count_events(log(), kind); }
 
   sim::Engine engine_;
   ntier::NTierApp app_;
-  ControlLog log_;
   VmAgent vm_agent_;
   AppAgent app_agent_;
 };
@@ -24,23 +26,24 @@ class ActuatorsTest : public ::testing::Test {
 TEST_F(ActuatorsTest, ScaleOutLaunchesAndLogs) {
   EXPECT_TRUE(vm_agent_.scale_out(1));
   EXPECT_EQ(app_.tier(1).provisioned_vm_count(), 2);
-  ASSERT_EQ(log_.actions().size(), 1u);
-  EXPECT_EQ(log_.actions()[0].action, "scale_out");
-  EXPECT_EQ(log_.actions()[0].tier, "tomcat");
+  ASSERT_EQ(log().size(), 1u);
+  EXPECT_EQ(log()[0].source, sim::EventSource::kControl);
+  EXPECT_EQ(log()[0].kind, "scale_out");
+  EXPECT_EQ(log()[0].subject, "tomcat");
 }
 
 TEST_F(ActuatorsTest, ScaleOutFailsAtMax) {
   while (vm_agent_.scale_out(1)) {
   }
   EXPECT_EQ(app_.tier(1).provisioned_vm_count(), app_.tier(1).config().max_vms);
-  const size_t actions = log_.actions().size();
+  const size_t actions = log().size();
   EXPECT_FALSE(vm_agent_.scale_out(1));
-  EXPECT_EQ(log_.actions().size(), actions);  // failed action not logged
+  EXPECT_EQ(log().size(), actions);  // failed action not logged
 }
 
 TEST_F(ActuatorsTest, ScaleInFailsAtMin) {
   EXPECT_FALSE(vm_agent_.scale_in(1));
-  EXPECT_TRUE(log_.actions().empty());
+  EXPECT_TRUE(log().empty());
 }
 
 TEST_F(ActuatorsTest, ScaleInAfterScaleOut) {
@@ -65,24 +68,24 @@ TEST_F(ActuatorsTest, SetThreadPoolAppliesToAllServers) {
 TEST_F(ActuatorsTest, SetThreadPoolIsIdempotentInLog) {
   app_agent_.set_thread_pool_size(1, 20);
   app_agent_.set_thread_pool_size(1, 20);  // unchanged → not logged
-  EXPECT_EQ(log_.filtered("set_stp").size(), 1u);
+  EXPECT_EQ(count("set_stp"), 1);
 }
 
 TEST_F(ActuatorsTest, SetConnectionsAdjustsPools) {
   app_agent_.set_downstream_connections(1, 18);
   EXPECT_EQ(app_.tier(1).current_downstream_connections(), 18);
-  EXPECT_EQ(log_.filtered("set_conns").size(), 1u);
-  EXPECT_EQ(log_.filtered("set_conns")[0].detail, "conns=18");
+  ASSERT_EQ(count("set_conns"), 1);
+  EXPECT_EQ(log()[0].detail, "conns=18");
 }
 
 TEST_F(ActuatorsTest, FilteredSelectsByKind) {
   vm_agent_.scale_out(1);
   app_agent_.set_thread_pool_size(1, 25);
   app_agent_.set_downstream_connections(1, 30);
-  EXPECT_EQ(log_.filtered("scale_out").size(), 1u);
-  EXPECT_EQ(log_.filtered("set_stp").size(), 1u);
-  EXPECT_EQ(log_.filtered("scale_in").size(), 0u);
-  EXPECT_EQ(log_.actions().size(), 3u);
+  EXPECT_EQ(count("scale_out"), 1);
+  EXPECT_EQ(count("set_stp"), 1);
+  EXPECT_EQ(count("scale_in"), 0);
+  EXPECT_EQ(log().size(), 3u);
 }
 
 }  // namespace

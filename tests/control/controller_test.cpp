@@ -61,7 +61,7 @@ TEST_F(ControllerTest, ScaleOutOnHighUtil) {
   engine_.run_until(sim::from_seconds(16.0));
   EXPECT_EQ(app_.tier(1).provisioned_vm_count(), 2);
   EXPECT_EQ(app_.tier(2).provisioned_vm_count(), 1);  // mid-band: no action
-  EXPECT_EQ(controller.log().filtered("scale_out").size(), 1u);
+  EXPECT_EQ(sim::count_events(engine_.run_log(), "scale_out"), 1);
 }
 
 TEST_F(ControllerTest, NoActionInComfortBand) {
@@ -71,7 +71,7 @@ TEST_F(ControllerTest, NoActionInComfortBand) {
     emit_period(15.0 * period, 0.60, 0.60);
   }
   engine_.run_until(sim::from_seconds(61.0));
-  EXPECT_TRUE(controller.log().actions().empty());
+  EXPECT_TRUE(engine_.run_log().empty());
 }
 
 TEST_F(ControllerTest, ScaleInNeedsThreeConsecutiveLowPeriods) {
@@ -87,15 +87,15 @@ TEST_F(ControllerTest, ScaleInNeedsThreeConsecutiveLowPeriods) {
   emit_period(45.0, 0.10, 0.60);
   emit_period(60.0, 0.60, 0.60);
   engine_.run_until(sim::from_seconds(61.0));
-  EXPECT_EQ(controller.log().filtered("scale_in").size(), 0u);
+  EXPECT_EQ(sim::count_events(engine_.run_log(), "scale_in"), 0);
 
   emit_period(75.0, 0.10, 0.60);
   emit_period(90.0, 0.10, 0.60);
   engine_.run_until(sim::from_seconds(91.0));
-  EXPECT_EQ(controller.log().filtered("scale_in").size(), 0u);
+  EXPECT_EQ(sim::count_events(engine_.run_log(), "scale_in"), 0);
   emit_period(105.0, 0.10, 0.60);
   engine_.run_until(sim::from_seconds(106.0));
-  EXPECT_EQ(controller.log().filtered("scale_in").size(), 1u);
+  EXPECT_EQ(sim::count_events(engine_.run_log(), "scale_in"), 1);
 }
 
 TEST_F(ControllerTest, MembershipChurnResetsTheScaleInStreak) {
@@ -111,7 +111,7 @@ TEST_F(ControllerTest, MembershipChurnResetsTheScaleInStreak) {
   engine_.run_until(sim::from_seconds(31.0));
   emit_period(45.0, 0.10, 0.60);
   engine_.run_until(sim::from_seconds(46.0));
-  ASSERT_EQ(controller.log().filtered("scale_in").size(), 0u);
+  ASSERT_EQ(sim::count_events(engine_.run_log(), "scale_in"), 0);
 
   // ...then the membership changes mid-streak (an operator launch; a crash
   // or resilience relaunch looks identical to the controller). The evidence
@@ -119,7 +119,7 @@ TEST_F(ControllerTest, MembershipChurnResetsTheScaleInStreak) {
   ASSERT_TRUE(app_.tier(1).scale_out());
   emit_period(60.0, 0.10, 0.60);
   engine_.run_until(sim::from_seconds(61.0));
-  EXPECT_EQ(controller.log().filtered("scale_in").size(), 0u)
+  EXPECT_EQ(sim::count_events(engine_.run_log(), "scale_in"), 0)
       << "third low period after churn must not complete the old streak";
 
   // Two more low periods complete a fresh streak against the stable fleet.
@@ -127,7 +127,7 @@ TEST_F(ControllerTest, MembershipChurnResetsTheScaleInStreak) {
   engine_.run_until(sim::from_seconds(76.0));
   emit_period(90.0, 0.10, 0.60);
   engine_.run_until(sim::from_seconds(91.0));
-  EXPECT_EQ(controller.log().filtered("scale_in").size(), 1u);
+  EXPECT_EQ(sim::count_events(engine_.run_log(), "scale_in"), 1);
 }
 
 TEST_F(ControllerTest, BootingVmSuppressesFurtherScaleOut) {
@@ -153,7 +153,7 @@ TEST_F(ControllerTest, FrontTierIsNotScaled) {
   }
   engine_.run_until(sim::from_seconds(46.0));
   EXPECT_EQ(app_.tier(0).provisioned_vm_count(), 1);
-  EXPECT_TRUE(controller.log().actions().empty());
+  EXPECT_TRUE(engine_.run_log().empty());
 }
 
 TEST_F(ControllerTest, NonActiveSamplesIgnored) {
@@ -163,7 +163,7 @@ TEST_F(ControllerTest, NonActiveSamplesIgnored) {
     publish(*producer_, sim::from_seconds(t), "tomcat", 1, "tomcat-vm9", 0.99, "BOOTING");
   }
   engine_.run_until(sim::from_seconds(16.0));
-  EXPECT_TRUE(controller.log().actions().empty());
+  EXPECT_TRUE(engine_.run_log().empty());
 }
 
 TEST_F(ControllerTest, MalformedSamplesAreDropped) {
@@ -173,7 +173,7 @@ TEST_F(ControllerTest, MalformedSamplesAreDropped) {
   emit_period(15.0, 0.95, 0.50);
   engine_.run_until(sim::from_seconds(16.0));
   // Still acts on the valid samples.
-  EXPECT_EQ(controller.log().filtered("scale_out").size(), 1u);
+  EXPECT_EQ(sim::count_events(engine_.run_log(), "scale_out"), 1);
 }
 
 TEST_F(ControllerTest, UtilSeriesRecordsObservations) {

@@ -115,8 +115,8 @@ class FlapTest : public ::testing::Test {
       }
       engine_.run_until(sim::from_seconds(end_s + 1.0));
     }
-    return static_cast<int>(controller.log().filtered("scale_out").size() +
-                            controller.log().filtered("scale_in").size());
+    return sim::count_events(engine_.run_log(), "scale_out") +
+           sim::count_events(engine_.run_log(), "scale_in");
   }
 
   sim::Engine engine_;

@@ -12,10 +12,6 @@
 namespace dcm::control {
 namespace {
 
-int count_actions(const ControlLog& log, const std::string& action) {
-  return static_cast<int>(log.filtered(action).size());
-}
-
 class WatchdogTest : public ::testing::Test {
  protected:
   WatchdogTest()
@@ -64,8 +60,8 @@ TEST_F(WatchdogTest, ConsecutiveSilentPeriodsFreezeSoftActuation) {
   engine_.run_until(sim::from_seconds(31.0));
   EXPECT_TRUE(controller.actuation_frozen());
   EXPECT_GE(controller.silent_periods(), 2);
-  EXPECT_EQ(count_actions(controller.log(), "watchdog_freeze"), 1);
-  EXPECT_EQ(count_actions(controller.log(), "watchdog_resume"), 0);
+  EXPECT_EQ(sim::count_events(engine_.run_log(), "watchdog_freeze"), 1);
+  EXPECT_EQ(sim::count_events(engine_.run_log(), "watchdog_resume"), 0);
 }
 
 TEST_F(WatchdogTest, FreshTelemetryResumesActuation) {
@@ -80,7 +76,7 @@ TEST_F(WatchdogTest, FreshTelemetryResumesActuation) {
   engine_.run_until(sim::from_seconds(46.0));  // decide at 45 s sees the sample
   EXPECT_FALSE(controller.actuation_frozen());
   EXPECT_EQ(controller.silent_periods(), 0);
-  EXPECT_EQ(count_actions(controller.log(), "watchdog_resume"), 1);
+  EXPECT_EQ(sim::count_events(engine_.run_log(), "watchdog_resume"), 1);
 }
 
 TEST_F(WatchdogTest, FreezeAndResumeToggleRepeatedly) {
@@ -97,7 +93,7 @@ TEST_F(WatchdogTest, FreezeAndResumeToggleRepeatedly) {
   // Telemetry goes dark again: two more silent periods re-freeze.
   engine_.run_until(sim::from_seconds(76.0));
   EXPECT_TRUE(controller.actuation_frozen());
-  EXPECT_EQ(count_actions(controller.log(), "watchdog_freeze"), 2);
+  EXPECT_EQ(sim::count_events(engine_.run_log(), "watchdog_freeze"), 2);
 }
 
 TEST_F(WatchdogTest, WatchdogDisabledNeverFreezes) {
@@ -106,7 +102,7 @@ TEST_F(WatchdogTest, WatchdogDisabledNeverFreezes) {
   controller.start();
   engine_.run_until(sim::from_seconds(100.0));
   EXPECT_FALSE(controller.actuation_frozen());
-  EXPECT_EQ(count_actions(controller.log(), "watchdog_freeze"), 0);
+  EXPECT_EQ(sim::count_events(engine_.run_log(), "watchdog_freeze"), 0);
 }
 
 TEST_F(WatchdogTest, LowRSquaredFitIsRejectedAndFreezes) {
@@ -137,7 +133,7 @@ TEST_F(WatchdogTest, LowRSquaredFitIsRejectedAndFreezes) {
   // The degraded fit froze soft actuation and the seeded model survived.
   EXPECT_TRUE(controller.actuation_frozen());
   EXPECT_EQ(controller.db_tier_nb(), 36);
-  EXPECT_EQ(count_actions(controller.log(), "watchdog_freeze"), 1);
+  EXPECT_EQ(sim::count_events(engine_.run_log(), "watchdog_freeze"), 1);
 }
 
 }  // namespace

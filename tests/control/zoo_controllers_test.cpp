@@ -126,7 +126,7 @@ TEST_F(PredictiveTest, RampScalesOutBeforeRawUtilizationCrosses) {
   EXPECT_EQ(app_.tier(1).provisioned_vm_count(), 2)
       << "forecast " << controller.forecast(1) << " should have pre-empted the breach";
   EXPECT_GT(controller.forecast(1), 0.8);
-  EXPECT_EQ(controller.log().filtered("scale_out").size(), 1u);
+  EXPECT_EQ(sim::count_events(engine_.run_log(), "scale_out"), 1);
 }
 
 TEST_F(PredictiveTest, FirstPeriodIsReactiveNotBlind) {
@@ -182,7 +182,7 @@ TEST_F(QueueingTest, AtTargetHoldsStill) {
   step(15.0, 0.50);
   step(30.0, 0.50);
   EXPECT_EQ(app_.tier(1).provisioned_vm_count(), 1);
-  EXPECT_TRUE(controller.log().actions().empty());
+  EXPECT_TRUE(engine_.run_log().empty());
 }
 
 TEST_F(QueueingTest, SurplusMustPersistForTheScaleInStreak) {
@@ -258,7 +258,7 @@ TEST_F(PiSaturationTest, ConditionalIntegrationFreezesAgainstASaturatedActuator)
   for (int period = 1; period <= 4; ++period) step(15.0 * period, 0.95);
   EXPECT_EQ(app_.tier(1).provisioned_vm_count(), 1);
   EXPECT_DOUBLE_EQ(controller.integral(1), 0.0);
-  EXPECT_TRUE(controller.log().actions().empty());
+  EXPECT_TRUE(engine_.run_log().empty());
 }
 
 }  // namespace

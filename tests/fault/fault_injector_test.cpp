@@ -43,9 +43,9 @@ TEST_F(FaultInjectorTest, CrashHitsOldestActiveVmAndStaysInBalancer) {
   EXPECT_TRUE(app_tier.balancer().contains(&app_tier.vms()[0]->server()));
   EXPECT_FALSE(app_tier.vms()[0]->server().online());
 
-  ASSERT_EQ(injector.log().size(), 1u);
-  EXPECT_EQ(injector.log()[0].kind, "vm_crash");
-  EXPECT_EQ(injector.log()[0].target, "tomcat-vm0");
+  ASSERT_EQ(engine_.run_log().size(), 1u);
+  EXPECT_EQ(engine_.run_log()[0].kind, "vm_crash");
+  EXPECT_EQ(engine_.run_log()[0].subject, "tomcat-vm0");
   EXPECT_EQ(injector.injected_count(), 1);
 }
 
@@ -57,10 +57,10 @@ TEST_F(FaultInjectorTest, TargetRotationAlternatesScalableTiers) {
   FaultInjector injector(engine_, app_, broker_, nullptr, plan);
   engine_.run_until(sim::from_seconds(40.0));
 
-  ASSERT_EQ(injector.log().size(), 3u);
-  EXPECT_EQ(injector.log()[0].target, "tomcat-vm0");
-  EXPECT_EQ(injector.log()[1].target, "mysql-vm0");
-  EXPECT_EQ(injector.log()[2].target, "tomcat-vm1");
+  ASSERT_EQ(engine_.run_log().size(), 3u);
+  EXPECT_EQ(engine_.run_log()[0].subject, "tomcat-vm0");
+  EXPECT_EQ(engine_.run_log()[1].subject, "mysql-vm0");
+  EXPECT_EQ(engine_.run_log()[2].subject, "tomcat-vm1");
 }
 
 TEST_F(FaultInjectorTest, SlowdownScalesCpuCapacityThenRecovers) {
@@ -79,10 +79,10 @@ TEST_F(FaultInjectorTest, SlowdownScalesCpuCapacityThenRecovers) {
   engine_.run_until(sim::from_seconds(20.0));
   EXPECT_EQ(victim.cpu().capacity_factor(), 1.0);
 
-  ASSERT_EQ(injector.log().size(), 2u);
-  EXPECT_EQ(injector.log()[0].kind, "vm_slowdown");
-  EXPECT_EQ(injector.log()[1].kind, "vm_recover");
-  EXPECT_EQ(injector.log()[1].target, injector.log()[0].target);
+  ASSERT_EQ(engine_.run_log().size(), 2u);
+  EXPECT_EQ(engine_.run_log()[0].kind, "vm_slowdown");
+  EXPECT_EQ(engine_.run_log()[1].kind, "vm_recover");
+  EXPECT_EQ(engine_.run_log()[1].subject, engine_.run_log()[0].subject);
 }
 
 TEST_F(FaultInjectorTest, TelemetryLossOpensTopicDropWindow) {
@@ -99,9 +99,9 @@ TEST_F(FaultInjectorTest, TelemetryLossOpensTopicDropWindow) {
   ASSERT_NE(topic, nullptr);
   EXPECT_TRUE(topic->drops_at(sim::from_seconds(10.0)));
   EXPECT_FALSE(topic->drops_at(sim::from_seconds(15.0)));
-  ASSERT_EQ(injector.log().size(), 1u);
-  EXPECT_EQ(injector.log()[0].kind, "telemetry_loss");
-  EXPECT_EQ(injector.log()[0].target, ntier::kMetricsTopic);
+  ASSERT_EQ(engine_.run_log().size(), 1u);
+  EXPECT_EQ(engine_.run_log()[0].kind, "telemetry_loss");
+  EXPECT_EQ(engine_.run_log()[0].subject, ntier::kMetricsTopic);
 }
 
 TEST_F(FaultInjectorTest, AgentSilenceWithoutFleetIsLoggedAsSkipped) {
@@ -114,8 +114,8 @@ TEST_F(FaultInjectorTest, AgentSilenceWithoutFleetIsLoggedAsSkipped) {
   FaultInjector injector(engine_, app_, broker_, nullptr, plan);
   engine_.run_until(sim::from_seconds(6.0));
 
-  ASSERT_EQ(injector.log().size(), 1u);
-  EXPECT_EQ(injector.log()[0].kind, "skipped");
+  ASSERT_EQ(engine_.run_log().size(), 1u);
+  EXPECT_EQ(engine_.run_log()[0].kind, "skipped");
   EXPECT_EQ(injector.injected_count(), 0);
 }
 
@@ -130,9 +130,9 @@ TEST_F(FaultInjectorTest, AgentSilenceMutesTheVictimsMonitor) {
   FaultInjector injector(engine_, app_, broker_, &fleet, plan);
   engine_.run_until(sim::from_seconds(6.0));
 
-  ASSERT_EQ(injector.log().size(), 1u);
-  EXPECT_EQ(injector.log()[0].kind, "agent_silence");
-  EXPECT_EQ(injector.log()[0].target, "tomcat-vm0");
+  ASSERT_EQ(engine_.run_log().size(), 1u);
+  EXPECT_EQ(engine_.run_log()[0].kind, "agent_silence");
+  EXPECT_EQ(engine_.run_log()[0].subject, "tomcat-vm0");
   EXPECT_EQ(injector.injected_count(), 1);
 }
 
@@ -151,7 +151,7 @@ TEST_F(FaultInjectorTest, InjectionLogIsReproducible) {
     broker.create_topic(ntier::kMetricsTopic);
     FaultInjector injector(engine, app, broker, nullptr, plan);
     engine.run_until(sim::from_seconds(120.0));
-    return injector.log();
+    return engine.run_log();
   };
   const auto first = run_once();
   const auto second = run_once();
@@ -159,7 +159,7 @@ TEST_F(FaultInjectorTest, InjectionLogIsReproducible) {
   for (size_t i = 0; i < first.size(); ++i) {
     EXPECT_EQ(first[i].at, second[i].at);
     EXPECT_EQ(first[i].kind, second[i].kind);
-    EXPECT_EQ(first[i].target, second[i].target);
+    EXPECT_EQ(first[i].subject, second[i].subject);
     EXPECT_EQ(first[i].detail, second[i].detail);
   }
 }

@@ -74,15 +74,11 @@ TEST(GraphTopologyTest, DiamondBottleneckRankingAgreesWithEdgeAttribution) {
   engine.run_until(sim::from_seconds(120.0));
 
   // The controller spent its scale-outs on the ranked node.
-  int mysql_scale_outs = 0;
-  for (const auto& action : controller.log().actions()) {
-    if (action.action == "scale_out" && action.tier == "mysql") ++mysql_scale_outs;
-  }
-  EXPECT_GT(mysql_scale_outs, 0);
+  EXPECT_GT(sim::count_events(engine.run_log(), "scale_out", "mysql"), 0);
 
   // The measured waterfall: among tomcat's two branches, the mysql edge must
   // own the dominant p99 share of end-to-end latency.
-  const auto report = trace::build_report(tracer);
+  const auto report = trace::build_report(tracer, engine.run_log());
   ASSERT_GT(report->completed, 0u);
   const trace::EdgeAttributionRow* dominant = nullptr;
   for (const auto& row : report->edge_attribution) {

@@ -59,8 +59,8 @@ TEST(ScalingTest, ScaleInAfterLoadDrops) {
 
   // Scale-ins must lag the load drop by at least 3 control periods (45 s).
   for (const auto& action : result.actions) {
-    if (action.action == "scale_in") {
-      EXPECT_GE(sim::to_seconds(action.time), 150.0 + 45.0);
+    if (action.kind == "scale_in") {
+      EXPECT_GE(sim::to_seconds(action.at), 150.0 + 45.0);
     }
   }
 }
@@ -75,8 +75,8 @@ TEST(ScalingTest, VmCountTimelineReflectsBootDelay) {
   ASSERT_GE(result.action_count("scale_out", "tomcat"), 1);
   double t_scale = -1.0;
   for (const auto& action : result.actions) {
-    if (action.action == "scale_out" && action.tier == "tomcat") {
-      t_scale = sim::to_seconds(action.time);
+    if (action.kind == "scale_out" && action.subject == "tomcat") {
+      t_scale = sim::to_seconds(action.at);
       break;
     }
   }
@@ -122,7 +122,7 @@ TEST(ScalingTest, DcmKeepsTotalDbConcurrencyNearModelOptimum) {
   // but the per-server value must always be a ⌈K_db·N_b/K_app⌉ for some
   // valid pair (1..8): verify each setting divides cleanly.
   for (const auto& action : result.actions) {
-    if (action.action != "set_conns") continue;
+    if (action.kind != "set_conns") continue;
     const int conns = std::stoi(action.detail.substr(action.detail.find('=') + 1));
     bool consistent = false;
     for (int k_app = 1; k_app <= 8 && !consistent; ++k_app) {

@@ -139,6 +139,12 @@ TEST(VmFailTest, FailedVmLeavesBalancer) {
   ASSERT_TRUE(tier.fail_vm("app-vm0"));
   EXPECT_EQ(tier.active_vm_count(), 1);
   EXPECT_EQ(tier.failed_vm_count(), 1);
+  // The crash is recorded once in the run log, as a fault on the VM.
+  ASSERT_EQ(engine.run_log().size(), 1u);
+  EXPECT_EQ(engine.run_log()[0].source, sim::EventSource::kFault);
+  EXPECT_EQ(engine.run_log()[0].kind, "vm_fail");
+  EXPECT_EQ(engine.run_log()[0].subject, "app-vm0");
+  EXPECT_EQ(engine.run_log()[0].detail, "app");
   // All new work routes to the survivor.
   for (int i = 0; i < 4; ++i) tier.dispatch(request(), [](bool) {});
   EXPECT_EQ(tier.vms()[1]->server().in_flight(), 4);
@@ -257,6 +263,7 @@ TEST(VmFailTest, CannotFailDeadVm) {
   ASSERT_TRUE(tier.fail_one());
   EXPECT_FALSE(tier.fail_vm("app-vm0"));
   EXPECT_FALSE(tier.fail_vm("no-such-vm"));
+  EXPECT_EQ(engine.run_log().size(), 1u);  // refused crashes record nothing
 }
 
 }  // namespace

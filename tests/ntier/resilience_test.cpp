@@ -98,10 +98,13 @@ TEST(TierHealthSweepTest, SilentCrashIsEjectedAndReplacedWithinMttrBound) {
   engine.run_until(sim::from_seconds(25.1));
   EXPECT_EQ(tier.active_vm_count(), 2);
 
-  ASSERT_EQ(tier.events().size(), 2u);
-  EXPECT_EQ(tier.events()[0].kind, "lb_eject");
-  EXPECT_EQ(tier.events()[0].detail, "app-vm0");
-  EXPECT_EQ(tier.events()[1].kind, "replace_launch");
+  const auto& log = engine.run_log();
+  ASSERT_EQ(log.size(), 2u);
+  EXPECT_EQ(log[0].source, sim::EventSource::kFault);
+  EXPECT_EQ(log[0].kind, "lb_eject");
+  EXPECT_EQ(log[0].subject, "app-vm0");
+  EXPECT_EQ(log[0].detail, "app");
+  EXPECT_EQ(log[1].kind, "replace_launch");
 }
 
 TEST(TierHealthSweepTest, ReplacementRespectsMaxVms) {
@@ -123,8 +126,8 @@ TEST(TierHealthSweepTest, ReplacementRespectsMaxVms) {
   ASSERT_TRUE(tier.scale_out());
   engine.run_until(sim::from_seconds(6.0));
   EXPECT_EQ(tier.booting_vm_count(), 2);
-  ASSERT_EQ(tier.events().size(), 1u);
-  EXPECT_EQ(tier.events()[0].kind, "lb_eject");
+  ASSERT_EQ(engine.run_log().size(), 1u);
+  EXPECT_EQ(engine.run_log()[0].kind, "lb_eject");
 }
 
 TEST(SubRequestRetryTest, RetryRecoversVisitAfterDownstreamFastFail) {

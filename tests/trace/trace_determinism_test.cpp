@@ -5,12 +5,18 @@
 //     schedules events, draws randomness, or mutates simulation state);
 //  2. replay — the trace itself is deterministic: same seed + same rate
 //     twice gives an identical trace digest (span streams, annotations,
-//     attribution table).
+//     attribution table);
+//  3. one record per event — the report's annotations are the run log: every
+//     control action and fault entry the result holds, nothing more, in
+//     record order.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 
+#include <vector>
+
 #include "core/experiment.h"
+#include "scenario/registry.h"
 #include "scenario/result_writer.h"
 
 namespace dcm::core {
@@ -115,6 +121,44 @@ TEST(TraceDeterminismTest, ControllerActionsSurfaceAsAnnotations) {
   const ExperimentResult result = run_traced(7, true, 1.0);
   ASSERT_NE(result.trace_report, nullptr);
   EXPECT_EQ(result.trace_report->annotations.size(), result.actions.size());
+}
+
+TEST(TraceDeterminismTest, ChaosAnnotationsAreTheRunLogElementByElement) {
+  // DCM deploys its model-optimal pools at construction (t=0) and the chaos
+  // schedule adds faults and recoveries: every one of them must reach the
+  // report, in the order it was recorded.
+  ExperimentConfig config = scenario::get_scenario("chaos-resilience").experiment();
+  ASSERT_EQ(config.seed, 1u);
+  config.trace.enabled = true;
+  config.trace.rate = 0.05;
+  const ExperimentResult result = run_experiment(config);
+  EXPECT_EQ(scenario::result_digest(result), 11487354307476855148ull);
+  ASSERT_NE(result.trace_report, nullptr);
+
+  const std::vector<sim::RunEvent>& annotations = result.trace_report->annotations;
+  EXPECT_EQ(result.actions.size(), 23u);
+  EXPECT_EQ(result.fault_log.size(), 22u);
+  ASSERT_EQ(annotations.size(), 45u);
+  ASSERT_EQ(annotations.size(), result.actions.size() + result.fault_log.size());
+  size_t next_action = 0;
+  size_t next_fault = 0;
+  for (size_t i = 0; i < annotations.size(); ++i) {
+    const sim::RunEvent& event = annotations[i];
+    if (i > 0) {
+      EXPECT_GE(event.at, annotations[i - 1].at) << i;
+    }
+    if (event.source == sim::EventSource::kControl) {
+      ASSERT_LT(next_action, result.actions.size());
+      EXPECT_EQ(event, result.actions[next_action++]) << i;
+    } else {
+      ASSERT_LT(next_fault, result.fault_log.size());
+      EXPECT_EQ(event, result.fault_log[next_fault++]) << i;
+    }
+  }
+  EXPECT_EQ(annotations[0].at, 0);
+  EXPECT_EQ(annotations[0].kind, "set_stp");
+  EXPECT_EQ(annotations[1].at, 0);
+  EXPECT_EQ(annotations[1].kind, "set_conns");
 }
 
 }  // namespace

@@ -1,9 +1,11 @@
 // Unit tests for the tracing primitives: deterministic head sampling,
-// TraceContext finalize semantics, and the latency-attribution fold.
+// TraceContext finalize semantics, the latency-attribution fold, and the
+// report's run-log annotations.
 #include <gtest/gtest.h>
 
 #include <memory>
 
+#include "sim/engine.h"
 #include "sim/time.h"
 #include "trace/attribution.h"
 #include "trace/trace.h"
@@ -13,6 +15,13 @@ namespace dcm::trace {
 namespace {
 
 using sim::from_seconds;
+
+// Records one control event into the engine's run log at sim time `t`.
+void record_at(sim::Engine& engine, double t, const char* kind, const char* detail) {
+  engine.schedule_at(from_seconds(t), [&engine, kind, detail] {
+    engine.record(sim::EventSource::kControl, "app", kind, detail);
+  });
+}
 
 TEST(TracerTest, DisabledNeverSamples) {
   Tracer tracer(42, TraceSpec{/*enabled=*/false, /*rate=*/1.0});
@@ -78,11 +87,17 @@ TEST(TracerTest, MaybeSampleRegistersAndKeepsContextsAlive) {
 
 TEST(TracerTest, AnnotationsRecordInOrder) {
   Tracer tracer(42, TraceSpec{true, 1.0});
-  tracer.annotate(from_seconds(5.0), "set_stp", "app 20");
-  tracer.annotate(from_seconds(9.0), "crash", "app-0");
-  ASSERT_EQ(tracer.annotations().size(), 2u);
-  EXPECT_EQ(tracer.annotations()[0].kind, "set_stp");
-  EXPECT_EQ(tracer.annotations()[1].detail, "app-0");
+  sim::Engine engine;
+  record_at(engine, 9.0, "scale_out", "provisioned=2");
+  record_at(engine, 5.0, "set_stp", "stp=20");
+  engine.run_until(from_seconds(10.0));
+
+  const auto report = build_report(tracer, engine.run_log());
+  ASSERT_EQ(report->annotations.size(), 2u);
+  EXPECT_EQ(report->annotations[0].kind, "set_stp");
+  EXPECT_EQ(report->annotations[0].at, from_seconds(5.0));
+  EXPECT_EQ(report->annotations[1].detail, "provisioned=2");
+  EXPECT_EQ(report->annotations[1].at, from_seconds(9.0));
 }
 
 TEST(TraceContextTest, FinalizeStopsSpanRecording) {
@@ -203,20 +218,18 @@ TEST(AttributionTest, ReportOverlaysAnnotationsOntoTraces) {
   ASSERT_NE(ctx, nullptr);
   ctx->add_span(SpanKind::kService, 0, from_seconds(10.0), from_seconds(12.0));
   ctx->finalize(from_seconds(12.0), true);
-  tracer.annotate(from_seconds(5.0), "set_stp", "before the trace");
-  tracer.annotate(from_seconds(11.0), "scale_out", "inside the trace");
-  tracer.annotate(from_seconds(20.0), "crash", "after the trace");
+  sim::Engine engine;
+  record_at(engine, 5.0, "set_stp", "before the trace");
+  record_at(engine, 11.0, "scale_out", "inside the trace");
+  record_at(engine, 20.0, "watchdog_freeze", "after the trace");
+  engine.run_until(from_seconds(30.0));
 
-  auto report = build_report(tracer);
+  auto report = build_report(tracer, engine.run_log());
   EXPECT_EQ(report->sampled, 1u);
   EXPECT_EQ(report->finalized, 1u);
   EXPECT_EQ(report->completed, 1u);
   ASSERT_EQ(report->traces.size(), 1u);
   EXPECT_EQ(report->annotations.size(), 3u);
-
-  const auto overlapping = annotations_overlapping(*report, *report->traces[0]);
-  ASSERT_EQ(overlapping.size(), 1u);
-  EXPECT_EQ(overlapping[0].kind, "scale_out");
 }
 
 TEST(AttributionTest, ReportCountsUnfinishedTracesAsSampledOnly) {
@@ -227,7 +240,7 @@ TEST(AttributionTest, ReportCountsUnfinishedTracesAsSampledOnly) {
   failed->finalize(from_seconds(1.0), false);
   tracer.maybe_sample(3, 0, 0);  // still in flight when the run ends
 
-  auto report = build_report(tracer);
+  auto report = build_report(tracer, {});
   EXPECT_EQ(report->sampled, 3u);
   EXPECT_EQ(report->finalized, 2u);
   EXPECT_EQ(report->completed, 1u);

@@ -449,7 +449,7 @@ class NoUnanchoredFloatAccumulate final : public Rule {
                      "' accumulates " + std::string(ts[op].text) +
                      " in a loop with no re-anchoring assignment; incremental float "
                      "state drifts from the recomputed value (re-anchor like "
-                     "SlidingRate/CpuScheduler, or recompute)");
+                     "CpuScheduler's virtual clock, or recompute)");
         }
       }
     }

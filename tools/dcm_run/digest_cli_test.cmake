@@ -107,4 +107,29 @@ expect_usage_error("[trace] rate"
                    run quickstart --set trace.enabled=true --set trace.rate=nan)
 expect_usage_error("[workload] users" run quickstart --set workload.users=4294967396)
 
+# Run events live in the run's result, not on stderr: a chaos run and a
+# parallel chaos tournament (crashes, ejections, watchdog freezes in every
+# cell) write nothing to stderr and still print their pinned digests.
+function(expect_quiet_digest expected)
+  execute_process(
+    COMMAND ${DCM_RUN} ${ARGN}
+    OUTPUT_VARIABLE out
+    ERROR_VARIABLE err
+    RESULT_VARIABLE rc
+    OUTPUT_STRIP_TRAILING_WHITESPACE)
+  if(NOT rc EQUAL 0)
+    message(FATAL_ERROR "dcm_run ${ARGN} failed (rc=${rc})")
+  endif()
+  if(NOT err STREQUAL "")
+    message(FATAL_ERROR "dcm_run ${ARGN} must write nothing to stderr, got: ${err}")
+  endif()
+  if(NOT out STREQUAL "${expected}")
+    message(FATAL_ERROR "dcm_run ${ARGN} must print ${expected}, got: ${out}")
+  endif()
+endfunction()
+expect_quiet_digest("result_digest 11487354307476855148"
+                    run chaos-resilience --digest --quiet)
+expect_quiet_digest("scorecard_digest 983756083291032948"
+                    tournament chaos-resilience --controllers dcm,ec2 --jobs 2 --digest --quiet)
+
 message(STATUS "dcm_run digest labels OK")
