@@ -71,7 +71,7 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
   if (config.resilience.enabled) {
     // Inter-tier sub-request deadlines/retries on every node that issues
     // downstream calls, and health-checked balancing on every non-root node.
-    ntier::SubRequestRetryPolicy sub_retry;
+    ntier::RetryPolicy sub_retry;
     sub_retry.timeout_seconds = config.resilience.subrequest_timeout_seconds;
     sub_retry.max_retries = config.resilience.subrequest_retries;
     ntier::HealthCheckConfig health;
@@ -108,7 +108,7 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
       break;
   }
   if (config.resilience.enabled) {
-    workload::RetryPolicy client_retry;
+    ntier::RetryPolicy client_retry;
     client_retry.timeout_seconds = config.resilience.client_timeout_seconds;
     client_retry.max_retries = config.resilience.client_retries;
     client_retry.backoff_base_seconds = config.resilience.client_backoff_seconds;

@@ -1,41 +1,8 @@
 #include "fit/least_squares.h"
 
-#include <cmath>
-
 #include "common/check.h"
 
 namespace dcm::fit {
-
-std::vector<double> linear_least_squares(const Matrix& a, const std::vector<double>& y) {
-  DCM_CHECK(a.rows() == y.size());
-  DCM_CHECK(a.rows() >= a.cols());
-  const Matrix at = a.transpose();
-  const Matrix ata = at * a;
-  // A^T y
-  std::vector<double> aty(a.cols(), 0.0);
-  for (size_t c = 0; c < a.cols(); ++c) {
-    double sum = 0.0;
-    for (size_t r = 0; r < a.rows(); ++r) sum += a(r, c) * y[r];
-    aty[c] = sum;
-  }
-  return ata.solve(aty);
-}
-
-std::vector<double> polyfit(const std::vector<double>& x, const std::vector<double>& y,
-                            int degree) {
-  DCM_CHECK(x.size() == y.size());
-  DCM_CHECK(degree >= 0);
-  DCM_CHECK(x.size() >= static_cast<size_t>(degree) + 1);
-  Matrix a(x.size(), static_cast<size_t>(degree) + 1);
-  for (size_t r = 0; r < x.size(); ++r) {
-    double pw = 1.0;
-    for (int c = 0; c <= degree; ++c) {
-      a(r, static_cast<size_t>(c)) = pw;
-      pw *= x[r];
-    }
-  }
-  return linear_least_squares(a, y);
-}
 
 double r_squared(const std::vector<double>& observed, const std::vector<double>& predicted) {
   DCM_CHECK(observed.size() == predicted.size());

@@ -1,19 +1,9 @@
-// Linear least squares and goodness-of-fit.
+// Goodness-of-fit for least-squares model fits.
 #pragma once
 
-#include <functional>
 #include <vector>
 
-#include "fit/matrix.h"
-
 namespace dcm::fit {
-
-/// Solves min ||A x - y||² via the normal equations. Returns empty if the
-/// system is singular (rank-deficient design).
-std::vector<double> linear_least_squares(const Matrix& a, const std::vector<double>& y);
-
-/// Ordinary polynomial fit y ≈ c0 + c1 x + ... + c_deg x^deg.
-std::vector<double> polyfit(const std::vector<double>& x, const std::vector<double>& y, int degree);
 
 /// Coefficient of determination R² = 1 - SS_res/SS_tot for predictions
 /// against observations. Returns 1 when SS_tot == 0 and SS_res == 0.

@@ -9,12 +9,6 @@ namespace dcm::fit {
 Matrix::Matrix(size_t rows, size_t cols, double fill)
     : rows_(rows), cols_(cols), data_(rows * cols, fill) {}
 
-Matrix Matrix::identity(size_t n) {
-  Matrix m(n, n);
-  for (size_t i = 0; i < n; ++i) m(i, i) = 1.0;
-  return m;
-}
-
 double& Matrix::operator()(size_t r, size_t c) {
   DCM_DCHECK(r < rows_ && c < cols_);
   return data_[r * cols_ + c];
@@ -44,26 +38,6 @@ Matrix Matrix::operator*(const Matrix& rhs) const {
       for (size_t c = 0; c < rhs.cols_; ++c) out(r, c) += a * rhs(k, c);
     }
   }
-  return out;
-}
-
-Matrix Matrix::operator+(const Matrix& rhs) const {
-  DCM_CHECK(rows_ == rhs.rows_ && cols_ == rhs.cols_);
-  Matrix out = *this;
-  for (size_t i = 0; i < data_.size(); ++i) out.data_[i] += rhs.data_[i];
-  return out;
-}
-
-Matrix Matrix::operator-(const Matrix& rhs) const {
-  DCM_CHECK(rows_ == rhs.rows_ && cols_ == rhs.cols_);
-  Matrix out = *this;
-  for (size_t i = 0; i < data_.size(); ++i) out.data_[i] -= rhs.data_[i];
-  return out;
-}
-
-Matrix Matrix::scaled(double s) const {
-  Matrix out = *this;
-  for (double& v : out.data_) v *= s;
   return out;
 }
 

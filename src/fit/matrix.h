@@ -12,8 +12,6 @@ class Matrix {
   Matrix() = default;
   Matrix(size_t rows, size_t cols, double fill = 0.0);
 
-  static Matrix identity(size_t n);
-
   size_t rows() const { return rows_; }
   size_t cols() const { return cols_; }
 
@@ -22,9 +20,6 @@ class Matrix {
 
   Matrix transpose() const;
   Matrix operator*(const Matrix& rhs) const;
-  Matrix operator+(const Matrix& rhs) const;
-  Matrix operator-(const Matrix& rhs) const;
-  Matrix scaled(double s) const;
 
   /// Solves A x = b by Gaussian elimination with partial pivoting.
   /// A must be square with rows()==b.size(). Returns empty on singularity.

@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "common/check.h"
-#include "fit/golden_section.h"
 
 namespace dcm::model {
 
@@ -32,8 +31,16 @@ double ConcurrencyModel::optimal_concurrency() const {
 
 int ConcurrencyModel::optimal_concurrency_int(int limit) const {
   DCM_CHECK(limit >= 1);
-  return fit::integer_argmin([this](int n) { return -throughput(static_cast<double>(n)); }, 1,
-                             limit);
+  int best = 1;
+  double best_throughput = throughput(1.0);
+  for (int n = 2; n <= limit; ++n) {
+    const double x = throughput(static_cast<double>(n));
+    if (x > best_throughput) {  // strict: ties keep the smaller n
+      best_throughput = x;
+      best = n;
+    }
+  }
+  return best;
 }
 
 double ConcurrencyModel::max_throughput() const {

@@ -50,65 +50,23 @@ void Server::set_out_edges(const std::vector<OutEdge>& edges) {
   }
 }
 
-// --- slab plumbing ---------------------------------------------------------
+// --- retry policy ----------------------------------------------------------
 
-Server::VisitHandle Server::alloc_visit() {
-  uint32_t idx;
-  if (visit_free_head_ != kNilIndex) {
-    idx = visit_free_head_;
-    visit_free_head_ = visit_slab_[idx].next_free;
-  } else {
-    idx = static_cast<uint32_t>(visit_slab_.size());
-    visit_slab_.emplace_back();
-  }
-  VisitSlot& slot = visit_slab_[idx];
-  slot.live = true;
-  return {idx, slot.gen};
-}
-
-void Server::free_visit(VisitHandle h) {
-  VisitSlot& slot = visit_slab_[h.index];
-  slot.live = false;
-  ++slot.gen;  // every outstanding handle to this slot is now stale
-  slot.state.request.reset();
-  slot.state.done = nullptr;
-  slot.next_free = visit_free_head_;
-  visit_free_head_ = h.index;
-}
-
-Server::VisitState* Server::visit(VisitHandle h) {
-  VisitSlot& slot = visit_slab_[h.index];
-  return (slot.live && slot.gen == h.gen) ? &slot.state : nullptr;
-}
-
-Server::AttemptHandle Server::alloc_attempt() {
-  uint32_t idx;
-  if (attempt_free_head_ != kNilIndex) {
-    idx = attempt_free_head_;
-    attempt_free_head_ = attempt_slab_[idx].next_free;
-  } else {
-    idx = static_cast<uint32_t>(attempt_slab_.size());
-    attempt_slab_.emplace_back();
-  }
-  AttemptSlot& slot = attempt_slab_[idx];
-  slot.live = true;
-  return {idx, slot.gen};
-}
-
-void Server::free_attempt(AttemptHandle h) {
-  AttemptSlot& slot = attempt_slab_[h.index];
-  slot.live = false;
-  ++slot.gen;
-  slot.next_free = attempt_free_head_;
-  attempt_free_head_ = h.index;
-}
-
-Server::AttemptState* Server::attempt(AttemptHandle h) {
-  AttemptSlot& slot = attempt_slab_[h.index];
-  return (slot.live && slot.gen == h.gen) ? &slot.state : nullptr;
+double RetryPolicy::backoff_delay(int attempt, Rng& rng) const {
+  const double base = backoff_base_seconds * std::pow(backoff_multiplier, attempt);
+  const double jitter =
+      jitter_fraction > 0.0 ? 1.0 + jitter_fraction * (2.0 * rng.next_double() - 1.0) : 1.0;
+  return std::max(0.0, base * jitter);
 }
 
 // --- request path ----------------------------------------------------------
+
+void Server::free_visit(VisitHandle h) {
+  VisitState& v = *visit(h);
+  visits_.free(h);  // stale first: what the request and continuation own dies after
+  v.request.reset();
+  v.done = nullptr;
+}
 
 void Server::sync_thread_count() { cpu_.set_thread_count(workers_.in_use()); }
 
@@ -119,8 +77,8 @@ void Server::process(const RequestPtr& request, DoneFn done) {
     done(false);
     return;
   }
-  const VisitHandle h = alloc_visit();
-  VisitState& v = visit_slab_[h.index].state;
+  const VisitHandle h = visits_.alloc();
+  VisitState& v = *visit(h);
   v.visit_id = next_visit_id_++;
   v.request = request;
   v.done = std::move(done);
@@ -256,8 +214,8 @@ void Server::on_conn_granted(VisitHandle h, int branch) {
 
 void Server::dispatch_attempt(VisitHandle h, int branch, int attempt_no, bool conn_held) {
   VisitState* v = visit(h);
-  const AttemptHandle ah = alloc_attempt();
-  AttemptState& a = attempt_slab_[ah.index].state;
+  const AttemptHandle ah = attempts_.alloc();
+  AttemptState& a = *attempts_.get(ah);
   a.visit = h;
   a.branch = branch;
   a.attempt = attempt_no;
@@ -268,7 +226,7 @@ void Server::dispatch_attempt(VisitHandle h, int branch, int attempt_no, bool co
       v->request, [this, ah](bool ok) { on_attempt_response(ah, ok); });
   // The dispatch can settle synchronously (downstream rejects) and even grow
   // the attempt slab via re-entry — refetch before arming the deadline.
-  AttemptState* armed = attempt(ah);
+  AttemptState* armed = attempts_.get(ah);
   if (retry_.timeout_seconds > 0.0 && armed != nullptr) {
     armed->timeout = engine_->schedule_after(sim::from_seconds(retry_.timeout_seconds),
                                              [this, ah] { on_attempt_timeout(ah); });
@@ -276,11 +234,11 @@ void Server::dispatch_attempt(VisitHandle h, int branch, int attempt_no, bool co
 }
 
 void Server::on_attempt_response(AttemptHandle ah, bool ok) {
-  AttemptState* live = attempt(ah);
+  AttemptState* live = attempts_.get(ah);
   if (live == nullptr) return;  // deadline already expired; drop late response
   live->timeout.cancel();
   const AttemptState a = *live;
-  free_attempt(ah);
+  attempts_.free(ah);
   VisitState* v = visit(a.visit);
   if (v == nullptr) return;  // server crashed while the call was in flight
   if (trace::TraceContext* tr = v->request->trace.get()) {
@@ -292,10 +250,10 @@ void Server::on_attempt_response(AttemptHandle ah, bool ok) {
 }
 
 void Server::on_attempt_timeout(AttemptHandle ah) {
-  AttemptState* live = attempt(ah);
+  AttemptState* live = attempts_.get(ah);
   if (live == nullptr) return;  // response won the race
   const AttemptState a = *live;
-  free_attempt(ah);  // the late response will find a stale handle
+  attempts_.free(ah);  // the late response will find a stale handle
   VisitState* v = visit(a.visit);
   if (v == nullptr) return;
   ++subrequest_timeouts_;
@@ -328,13 +286,7 @@ void Server::on_subrequest_result(const AttemptState& settled, bool ok) {
     ++subrequest_retries_;
     // Exponential backoff with deterministic jitter; the connection stays
     // held across attempts (a blocked app thread keeps its pool slot).
-    const double base =
-        retry_.backoff_base_seconds * std::pow(retry_.backoff_multiplier, attempt_no);
-    const double jitter =
-        retry_.jitter_fraction > 0.0
-            ? 1.0 + retry_.jitter_fraction * (2.0 * rng_.next_double() - 1.0)
-            : 1.0;
-    const double delay = std::max(0.0, base * jitter);
+    const double delay = retry_.backoff_delay(attempt_no, rng_);
     if (trace::TraceContext* tr = visit(h)->request->trace.get()) {
       tr->add_span(trace::SpanKind::kBackoff, depth_, engine_->now(),
                    engine_->now() + sim::from_seconds(delay));
@@ -409,18 +361,18 @@ void Server::crash() {
   // first makes every pre-crash continuation stale; firing done(false) here
   // is the only signal that runs.
   crash_scratch_.clear();
-  for (uint32_t i = 0; i < visit_slab_.size(); ++i) {
-    if (visit_slab_[i].live) {
-      crash_scratch_.emplace_back(visit_slab_[i].state.visit_id, i);
-    }
-  }
-  std::sort(crash_scratch_.begin(), crash_scratch_.end());
-  for (const auto& [id, idx] : crash_scratch_) {
-    VisitSlot& slot = visit_slab_[idx];
-    if (!slot.live || slot.state.visit_id != id) continue;  // slot was reused
+  visits_.for_each_live([this](VisitHandle h, const VisitState& v) {
+    crash_scratch_.emplace_back(v.visit_id, h);
+  });
+  std::sort(crash_scratch_.begin(), crash_scratch_.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  for (const auto& entry : crash_scratch_) {
+    const VisitHandle h = entry.second;
+    VisitState* v = visit(h);
+    if (v == nullptr) continue;  // an earlier done(false) freed (or reused) it
     ++rejected_;
-    DoneFn done = std::move(slot.state.done);
-    free_visit({idx, slot.gen});
+    DoneFn done = std::move(v->done);
+    free_visit(h);
     if (done) done(false);
   }
   if (idle_callback_) {

@@ -11,13 +11,14 @@
 // branches run concurrently, and the post-CPU phase starts only after every
 // branch settles (synchronous join); any branch failure fails the visit once
 // the others drain. A chain hop is simply a one-branch visit. Every call on
-// a branch is one or more attempts under the server's SubRequestRetryPolicy;
-// the default policy is a zero budget (no deadline, no retry), which arms no
-// timer and draws no jitter.
+// a branch is one or more attempts under the server's RetryPolicy — the same
+// policy type, and the same backoff, the clients apply to hop 0. The default
+// policy is a zero budget (no deadline, no retry), which arms no timer and
+// draws no jitter.
 //
 // Hot-path storage: visits and call attempts live in generation-counted
-// slabs owned by the server, not in per-visit shared_ptrs. The continuation
-// handed to Tier::dispatch (a std::function DoneFn) captures
+// sim::Slabs owned by the server, not in per-visit shared_ptrs. The
+// continuation handed to Tier::dispatch (a std::function DoneFn) captures
 // [this, AttemptHandle] — 16 bytes, inside its inline buffer — and the
 // others are small sim::EventFn captures, so the steady-state request path
 // performs no heap allocation on any topology. A freed slot bumps its
@@ -38,6 +39,7 @@
 #include "ntier/server_config.h"
 #include "ntier/slot_pool.h"
 #include "sim/engine.h"
+#include "sim/slab.h"
 
 namespace dcm::ntier {
 
@@ -51,17 +53,22 @@ struct OutEdge {
   bool managed = false;   // pool resized by set_downstream_connections
 };
 
-/// Deadline + bounded retry applied to each inter-tier sub-request. All
-/// fields are per-attempt; backoff between attempt k and k+1 is
-/// backoff_base · multiplier^k, jittered ±jitter_fraction from the server's
-/// own deterministic Rng stream. The default is a zero budget: one attempt
-/// per call, no deadline timer, no jitter draw.
-struct SubRequestRetryPolicy {
+/// Deadline + bounded retry for one hop's calls: a client's requests (hop 0)
+/// or a server's inter-tier sub-requests. All fields are per-attempt. The
+/// default is a zero budget: one attempt per call, no deadline timer, no
+/// jitter draw.
+struct RetryPolicy {
   double timeout_seconds = 0.0;  // 0 = no deadline
   int max_retries = 0;
   double backoff_base_seconds = 0.05;
   double backoff_multiplier = 2.0;
   double jitter_fraction = 0.2;
+
+  /// Delay before re-issuing after failed attempt `attempt` (0-based):
+  /// backoff_base · multiplier^attempt, jittered ±jitter_fraction by one
+  /// draw from the caller's own deterministic `rng` — drawn only when
+  /// jitter_fraction > 0.
+  double backoff_delay(int attempt, Rng& rng) const;
 };
 
 class Server {
@@ -90,8 +97,8 @@ class Server {
 
   /// Deadline/retry discipline for inter-tier sub-requests (resilience
   /// mechanism; the tier propagates one policy to all its servers).
-  void set_subrequest_retry(SubRequestRetryPolicy policy) { retry_ = policy; }
-  const SubRequestRetryPolicy& subrequest_retry() const { return retry_; }
+  void set_subrequest_retry(RetryPolicy policy) { retry_ = policy; }
+  const RetryPolicy& subrequest_retry() const { return retry_; }
   uint64_t subrequest_timeouts() const { return subrequest_timeouts_; }
   uint64_t subrequest_retries() const { return subrequest_retries_; }
 
@@ -149,19 +156,6 @@ class Server {
   void set_idle_callback(std::function<void()> cb) { idle_callback_ = std::move(cb); }
 
  private:
-  static constexpr uint32_t kNilIndex = 0xffffffffu;
-
-  /// 8-byte ticket into a slab. A handle is stale (lookup returns nullptr)
-  /// once its slot was freed — the generation no longer matches.
-  struct VisitHandle {
-    uint32_t index = 0;
-    uint32_t gen = 0;
-  };
-  struct AttemptHandle {
-    uint32_t index = 0;
-    uint32_t gen = 0;
-  };
-
   /// Per-branch progress of a visit (one branch per out-edge). Branch calls
   /// are sequential within the branch, branches concurrent with each other,
   /// so each needs its own call cursor and tracing scratch.
@@ -189,6 +183,7 @@ class Server {
     sim::SimTime cpu_submitted = 0;
     double cpu_work = 0.0;
   };
+  using VisitHandle = sim::Slab<VisitState>::Handle;
 
   /// One attempt of one call on a branch. Exactly one of {downstream
   /// response, deadline expiry} settles the attempt by freeing its slot;
@@ -202,28 +197,14 @@ class Server {
     sim::SimTime started = 0;  // tracing scratch
     sim::EventHandle timeout;
   };
+  using AttemptHandle = sim::Slab<AttemptState>::Handle;
 
-  struct VisitSlot {
-    VisitState state;
-    uint32_t gen = 0;
-    uint32_t next_free = kNilIndex;
-    bool live = false;
-  };
-  struct AttemptSlot {
-    AttemptState state;
-    uint32_t gen = 0;
-    uint32_t next_free = kNilIndex;
-    bool live = false;
-  };
-
-  VisitHandle alloc_visit();
+  /// Resolves a visit handle (nullptr if stale). The pointer is invalidated
+  /// by a new visit's alloc (slab growth) — refetch after any call that can
+  /// admit one.
+  VisitState* visit(VisitHandle h) { return visits_.get(h); }
+  /// Releases the visit's request and continuation, then frees its slot.
   void free_visit(VisitHandle h);
-  /// nullptr if `h` is stale. The pointer is invalidated by alloc_visit
-  /// (slab growth) — refetch after any call that can admit a new visit.
-  VisitState* visit(VisitHandle h);
-  AttemptHandle alloc_attempt();
-  void free_attempt(AttemptHandle h);
-  AttemptState* attempt(AttemptHandle h);
 
   void on_worker_granted(VisitHandle h);
   void start_visit(VisitHandle h);
@@ -259,7 +240,7 @@ class Server {
   };
   std::vector<Edge> out_edges_;
   SlotPool* managed_pool_ = nullptr;  // the managed edge's pool
-  SubRequestRetryPolicy retry_;
+  RetryPolicy retry_;
 
   uint64_t completed_ = 0;
   uint64_t rejected_ = 0;
@@ -272,11 +253,9 @@ class Server {
   uint64_t epoch_ = 0;  // crash count (crashed_since_start)
   uint64_t next_visit_id_ = 0;
 
-  std::vector<VisitSlot> visit_slab_;
-  uint32_t visit_free_head_ = kNilIndex;
-  std::vector<AttemptSlot> attempt_slab_;
-  uint32_t attempt_free_head_ = kNilIndex;
-  std::vector<std::pair<uint64_t, uint32_t>> crash_scratch_;  // (visit_id, slot)
+  sim::Slab<VisitState> visits_;
+  sim::Slab<AttemptState> attempts_;
+  std::vector<std::pair<uint64_t, VisitHandle>> crash_scratch_;  // (visit_id, visit)
 };
 
 }  // namespace dcm::ntier

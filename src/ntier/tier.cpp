@@ -245,7 +245,7 @@ void Tier::set_downstream_connections(int per_server) {
   }
 }
 
-void Tier::set_subrequest_retry(const SubRequestRetryPolicy& policy) {
+void Tier::set_subrequest_retry(const RetryPolicy& policy) {
   retry_policy_ = policy;
   for (auto& vm : vms_) {
     if (vm->state() == VmState::kStopped || vm->state() == VmState::kFailed) continue;

@@ -126,7 +126,7 @@ class Tier {
 
   /// Applies a sub-request deadline/retry policy to every live server; VMs
   /// launched later inherit it.
-  void set_subrequest_retry(const SubRequestRetryPolicy& policy);
+  void set_subrequest_retry(const RetryPolicy& policy);
 
   // --- aggregates ---
   uint64_t completed() const;
@@ -152,7 +152,7 @@ class Tier {
   int next_vm_index_ = 0;
   int current_stp_;
   int current_conns_ = 0;  // the managed out-edge's pool size; 0 without one
-  SubRequestRetryPolicy retry_policy_;
+  RetryPolicy retry_policy_;
   std::vector<std::function<void(Vm&)>> vm_activated_;
 
   bool health_enabled_ = false;

@@ -1,8 +1,5 @@
 #include "workload/closed_loop.h"
 
-#include <algorithm>
-#include <cmath>
-
 #include "common/check.h"
 #include "trace/tracer.h"
 
@@ -89,13 +86,6 @@ void ClosedLoopGenerator::spawn_user(int user_index, sim::SimTime initial_delay)
   engine_->schedule_after(initial_delay, [this, user_index] { user_cycle(user_index); });
 }
 
-ClosedLoopGenerator::UserSlot& ClosedLoopGenerator::user_slot(int user_index) {
-  if (static_cast<size_t>(user_index) >= users_.size()) {
-    users_.resize(static_cast<size_t>(user_index) + 1);
-  }
-  return users_[static_cast<size_t>(user_index)];
-}
-
 void ClosedLoopGenerator::user_cycle(int user_index, double prior_think) {
   if (!running_ || live_users_ > target_users_) {
     --live_users_;
@@ -112,110 +102,89 @@ void ClosedLoopGenerator::user_cycle(int user_index, double prior_think) {
                                prior_think);
     }
   }
-  if (retry_.enabled()) {
-    issue_attempt(user_index, request, servlet, issued, /*attempt=*/0);
-    return;
-  }
-  // Legacy path — byte-for-byte the pre-resilience behaviour when no retry
-  // policy is configured. In-flight per-user state (issue time, servlet,
-  // the raw TraceContext pointer kept alive by the Tracer) lives in the
-  // user's slot so the completion lambda is [this, user_index] — 16 bytes,
-  // inside std::function's inline buffer: issuing a request allocates
-  // nothing.
-  UserSlot& slot = user_slot(user_index);
-  slot.issued = issued;
-  slot.servlet = servlet;
-  slot.trace = request->trace.get();
-  app_->submit(request, [this, user_index](bool ok) {
-    const UserSlot& done = users_[static_cast<size_t>(user_index)];
-    const sim::SimTime now = engine_->now();
-    if (ok) {
-      stats_.record_completion(now, sim::to_seconds(now - done.issued), done.servlet);
-    } else {
-      stats_.record_error(now);
-    }
-    if (done.trace != nullptr) done.trace->finalize(now, ok);
-    const double think = think_time_ ? think_time_->sample(rng_) : 0.0;
-    // Always reschedule through the engine — a zero think time must not
-    // recurse synchronously.
-    engine_->schedule_after(sim::from_seconds(think), [this, user_index, think] {
-      user_cycle(user_index, think);
-    });
-  });
+  const AttemptHandle h = attempts_.alloc();
+  Attempt& a = *attempts_.get(h);
+  a.user = user_index;
+  a.request = std::move(request);
+  a.servlet = servlet;
+  a.first_issued = issued;
+  a.attempt = 0;
+  a.deadline = sim::EventHandle();
+  issue_attempt(h);
 }
 
-void ClosedLoopGenerator::issue_attempt(int user_index, const ntier::RequestPtr& request,
-                                        int servlet, sim::SimTime first_issued, int attempt) {
-  // Settlement record shared by the response and the deadline: whichever
-  // fires second finds `settled` set and becomes a no-op.
-  struct Attempt {
-    bool settled = false;
-    sim::EventHandle timeout;
-  };
-  auto state = std::make_shared<Attempt>();
-  if (trace::TraceContext* tr = request->trace.get()) tr->attempts = attempt + 1;
-  app_->submit(request, [this, user_index, request, servlet, first_issued, attempt,
-                         state](bool ok) {
-    if (state->settled) return;  // deadline already expired; drop late response
-    state->settled = true;
-    state->timeout.cancel();
-    if (ok) {
-      const sim::SimTime now = engine_->now();
-      stats_.record_completion(now, sim::to_seconds(now - first_issued), servlet);
-      if (trace::TraceContext* tr = request->trace.get()) tr->finalize(now, true);
-      finish_cycle(user_index);
-      return;
-    }
-    on_attempt_failed(user_index, request, servlet, first_issued, attempt);
-  });
-  if (retry_.timeout_seconds > 0.0 && !state->settled) {
-    state->timeout = engine_->schedule_after(
-        sim::from_seconds(retry_.timeout_seconds),
-        [this, user_index, request, servlet, first_issued, attempt, state] {
-          if (state->settled) return;
-          state->settled = true;
-          const sim::SimTime now = engine_->now();
-          stats_.record_timeout(now);
-          if (trace::TraceContext* tr = request->trace.get()) {
-            tr->add_span(trace::SpanKind::kTimeoutWait, trace::kClientTier,
-                         now - sim::from_seconds(retry_.timeout_seconds), now);
-          }
-          on_attempt_failed(user_index, request, servlet, first_issued, attempt);
-        });
+void ClosedLoopGenerator::issue_attempt(AttemptHandle h) {
+  const Attempt& a = *attempts_.get(h);
+  if (trace::TraceContext* tr = a.request->trace.get()) tr->attempts = a.attempt + 1;
+  // Submit a copy of the pointer: the app can settle the attempt
+  // synchronously (a rejection), which frees the slot mid-submit.
+  const ntier::RequestPtr request = a.request;
+  app_->submit(request, [this, h](bool ok) { on_response(h, ok); });
+  Attempt* armed = attempts_.get(h);
+  if (retry_.timeout_seconds > 0.0 && armed != nullptr) {
+    armed->deadline = engine_->schedule_after(sim::from_seconds(retry_.timeout_seconds),
+                                              [this, h] { on_deadline(h); });
   }
 }
 
-void ClosedLoopGenerator::on_attempt_failed(int user_index, const ntier::RequestPtr& request,
-                                            int servlet, sim::SimTime first_issued,
-                                            int attempt) {
-  if (attempt < retry_.max_retries) {
-    stats_.record_retry();
-    const double base =
-        retry_.backoff_base_seconds * std::pow(retry_.backoff_multiplier, attempt);
-    const double jitter =
-        retry_.jitter_fraction > 0.0
-            ? 1.0 + retry_.jitter_fraction * (2.0 * rng_.next_double() - 1.0)
-            : 1.0;
-    const double delay = std::max(0.0, base * jitter);
-    if (trace::TraceContext* tr = request->trace.get()) {
-      tr->add_span(trace::SpanKind::kBackoff, trace::kClientTier, engine_->now(),
-                   engine_->now() + sim::from_seconds(delay));
-    }
-    engine_->schedule_after(
-        sim::from_seconds(delay),
-        [this, user_index, request, servlet, first_issued, attempt] {
-          issue_attempt(user_index, request, servlet, first_issued, attempt + 1);
-        });
+void ClosedLoopGenerator::on_response(AttemptHandle h, bool ok) {
+  Attempt* a = attempts_.get(h);
+  if (a == nullptr) return;  // deadline already expired; drop late response
+  a->deadline.cancel();
+  if (!ok) {
+    on_attempt_failed(h);
     return;
   }
-  stats_.record_error(engine_->now());
-  if (trace::TraceContext* tr = request->trace.get()) {
-    tr->finalize(engine_->now(), false);
+  const sim::SimTime now = engine_->now();
+  stats_.record_completion(now, sim::to_seconds(now - a->first_issued), a->servlet);
+  if (trace::TraceContext* tr = a->request->trace.get()) tr->finalize(now, true);
+  a->request.reset();
+  const int user = a->user;
+  attempts_.free(h);
+  finish_cycle(user);
+}
+
+void ClosedLoopGenerator::on_deadline(AttemptHandle h) {
+  Attempt* a = attempts_.get(h);
+  if (a == nullptr) return;  // response won the race
+  const sim::SimTime now = engine_->now();
+  stats_.record_timeout(now);
+  if (trace::TraceContext* tr = a->request->trace.get()) {
+    tr->add_span(trace::SpanKind::kTimeoutWait, trace::kClientTier,
+                 now - sim::from_seconds(retry_.timeout_seconds), now);
   }
-  finish_cycle(user_index);
+  on_attempt_failed(h);
+}
+
+void ClosedLoopGenerator::on_attempt_failed(AttemptHandle h) {
+  Attempt settled = std::move(*attempts_.get(h));
+  attempts_.free(h);  // the late response (or deadline) finds a stale handle
+  trace::TraceContext* tr = settled.request->trace.get();
+  const sim::SimTime now = engine_->now();
+  if (settled.attempt >= retry_.max_retries) {
+    stats_.record_error(now);
+    if (tr != nullptr) tr->finalize(now, false);
+    finish_cycle(settled.user);
+    return;
+  }
+  stats_.record_retry();
+  const double delay = retry_.backoff_delay(settled.attempt, rng_);
+  if (tr != nullptr) {
+    tr->add_span(trace::SpanKind::kBackoff, trace::kClientTier, now,
+                 now + sim::from_seconds(delay));
+  }
+  // The retry is a new attempt in a new slot (the free list hands back the
+  // one just freed, under a new generation).
+  ++settled.attempt;
+  settled.deadline = sim::EventHandle();
+  const AttemptHandle next = attempts_.alloc();
+  *attempts_.get(next) = std::move(settled);
+  engine_->schedule_after(sim::from_seconds(delay), [this, next] { issue_attempt(next); });
 }
 
 void ClosedLoopGenerator::finish_cycle(int user_index) {
+  // Always reschedule through the engine — a zero think time must not
+  // recurse synchronously.
   const double think = think_time_ ? think_time_->sample(rng_) : 0.0;
   engine_->schedule_after(sim::from_seconds(think),
                           [this, user_index, think] { user_cycle(user_index, think); });

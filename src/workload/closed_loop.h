@@ -11,14 +11,25 @@
 // RequestFactory, which is the seam tests use for hand-built plans. The user
 // count can be changed at runtime (set_user_count), which is what the trace
 // player uses to emulate the revised RUBBoS client.
+//
+// The client is hop 0 of the request path and issues every request through
+// one attempt mechanism, the one ntier::Server uses for its sub-requests:
+// each attempt is a slot in a generation-counted sim::Slab, its response,
+// deadline and backoff continuations capture [this, handle], and whichever
+// of {response, deadline} settles the attempt frees the slot, so the loser
+// finds a stale handle. Retries follow the same ntier::RetryPolicy and
+// RetryPolicy::backoff_delay as the servers'. With the default policy (no
+// deadline, no retries) no timer is armed and no jitter is drawn, and the
+// steady-state issue path performs no heap allocation either way.
 #pragma once
 
 #include <functional>
 #include <memory>
-#include <vector>
 
 #include "ntier/app.h"
+#include "ntier/server.h"
 #include "sim/distributions.h"
+#include "sim/slab.h"
 #include "workload/client_stats.h"
 #include "workload/servlet.h"
 
@@ -44,22 +55,6 @@ using RequestFactory = std::function<ntier::RequestPtr(sim::Arena* arena, uint64
 /// plans are copied into it.
 RequestFactory graph_request_factory(const ServletCatalog& catalog,
                                      const ntier::ServiceGraph& graph);
-
-/// Client-side deadline + bounded retry (resilience mechanism). Disabled by
-/// default — the generator then behaves exactly as before, with no extra
-/// events or rng draws. Backoff before re-issue k→k+1 is
-/// backoff_base · multiplier^k, jittered ±jitter_fraction from the
-/// generator's own deterministic rng stream. Response time is measured from
-/// the first issue to the final success (what the user experienced).
-struct RetryPolicy {
-  double timeout_seconds = 0.0;  // 0 = no deadline
-  int max_retries = 0;
-  double backoff_base_seconds = 0.5;
-  double backoff_multiplier = 2.0;
-  double jitter_fraction = 0.2;
-
-  bool enabled() const { return timeout_seconds > 0.0 || max_retries > 0; }
-};
 
 struct ClosedLoopConfig {
   int users = 1;
@@ -89,9 +84,12 @@ class ClosedLoopGenerator {
   int user_count() const { return target_users_; }
   int live_users() const { return live_users_; }
 
-  /// Deadline/retry discipline applied to every request. Set before start().
-  void set_retry_policy(RetryPolicy policy) { retry_ = policy; }
-  const RetryPolicy& retry_policy() const { return retry_; }
+  /// Deadline/retry discipline applied to every request (resilience
+  /// mechanism; default: one attempt, no deadline). Response time is
+  /// measured from the first issue to the final success — what the user
+  /// experienced. Set before start().
+  void set_retry_policy(ntier::RetryPolicy policy) { retry_ = policy; }
+  const ntier::RetryPolicy& retry_policy() const { return retry_; }
 
   /// Head-samples new requests through `tracer` (nullptr = tracing off, the
   /// default — the generator then issues byte-for-byte the same event
@@ -102,29 +100,28 @@ class ClosedLoopGenerator {
   const ClientStats& stats() const { return stats_; }
 
  private:
+  /// One client attempt: everything its continuations need, so each of
+  /// them captures only [this, handle].
+  struct Attempt {
+    int user = 0;
+    ntier::RequestPtr request;
+    int servlet = -1;
+    sim::SimTime first_issued = 0;
+    int attempt = 0;  // 0-based issue number
+    sim::EventHandle deadline;
+  };
+  using AttemptHandle = sim::Slab<Attempt>::Handle;
+
   void spawn_user(int user_index, sim::SimTime initial_delay);
   /// `prior_think` is the think-time (seconds) the user just finished, so a
   /// newly sampled trace can record it as a leading kThink span; < 0 means
   /// "first request, no preceding think".
   void user_cycle(int user_index, double prior_think = -1.0);
-  void issue_attempt(int user_index, const ntier::RequestPtr& request, int servlet,
-                     sim::SimTime first_issued, int attempt);
-  void on_attempt_failed(int user_index, const ntier::RequestPtr& request, int servlet,
-                         sim::SimTime first_issued, int attempt);
+  void issue_attempt(AttemptHandle h);
+  void on_response(AttemptHandle h, bool ok);
+  void on_deadline(AttemptHandle h);
+  void on_attempt_failed(AttemptHandle h);
   void finish_cycle(int user_index);
-
-  /// Per-user in-flight state for the legacy (no-retry) path. Keeping it
-  /// here instead of in the completion lambda shrinks that lambda to
-  /// [this, user_index] — 16 bytes, inside std::function's inline buffer —
-  /// so issuing a request performs no heap allocation. Indexed by user id;
-  /// a user has at most one request in flight, and ids are never reused by
-  /// concurrent cycles.
-  struct UserSlot {
-    sim::SimTime issued = 0;
-    int servlet = -1;
-    trace::TraceContext* trace = nullptr;
-  };
-  UserSlot& user_slot(int user_index);
 
   sim::Engine* engine_;
   ntier::NTierApp* app_;
@@ -132,14 +129,14 @@ class ClosedLoopGenerator {
   std::unique_ptr<sim::Distribution> think_time_;
   sim::SimTime start_stagger_;
   Rng rng_;
-  RetryPolicy retry_;
+  ntier::RetryPolicy retry_;
   trace::Tracer* tracer_ = nullptr;
 
   bool running_ = false;
   int target_users_ = 0;
   int live_users_ = 0;  // users currently looping (in-flight or thinking)
   int next_user_id_ = 0;
-  std::vector<UserSlot> users_;
+  sim::Slab<Attempt> attempts_;
   ClientStats stats_;
 };
 

@@ -2,63 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include "common/rng.h"
-
 namespace dcm::fit {
 namespace {
-
-TEST(LeastSquaresTest, ExactLineRecovered) {
-  // y = 2 + 3x
-  std::vector<double> x, y;
-  for (int i = 0; i < 10; ++i) {
-    x.push_back(i);
-    y.push_back(2.0 + 3.0 * i);
-  }
-  const auto coeffs = polyfit(x, y, 1);
-  ASSERT_EQ(coeffs.size(), 2u);
-  EXPECT_NEAR(coeffs[0], 2.0, 1e-9);
-  EXPECT_NEAR(coeffs[1], 3.0, 1e-9);
-}
-
-TEST(LeastSquaresTest, NoisyQuadraticRecovered) {
-  Rng rng(9);
-  std::vector<double> x, y;
-  for (int i = 0; i < 400; ++i) {
-    const double xi = rng.uniform(-5.0, 5.0);
-    x.push_back(xi);
-    y.push_back(1.0 - 2.0 * xi + 0.5 * xi * xi + rng.normal(0.0, 0.05));
-  }
-  const auto coeffs = polyfit(x, y, 2);
-  ASSERT_EQ(coeffs.size(), 3u);
-  EXPECT_NEAR(coeffs[0], 1.0, 0.02);
-  EXPECT_NEAR(coeffs[1], -2.0, 0.02);
-  EXPECT_NEAR(coeffs[2], 0.5, 0.01);
-}
-
-TEST(LeastSquaresTest, GeneralDesignMatrix) {
-  // y = 4a - b over two features.
-  Matrix a(4, 2);
-  std::vector<double> y(4);
-  const double rows[4][2] = {{1, 0}, {0, 1}, {1, 1}, {2, 1}};
-  for (size_t i = 0; i < 4; ++i) {
-    a(i, 0) = rows[i][0];
-    a(i, 1) = rows[i][1];
-    y[i] = 4.0 * rows[i][0] - rows[i][1];
-  }
-  const auto c = linear_least_squares(a, y);
-  ASSERT_EQ(c.size(), 2u);
-  EXPECT_NEAR(c[0], 4.0, 1e-9);
-  EXPECT_NEAR(c[1], -1.0, 1e-9);
-}
-
-TEST(LeastSquaresTest, RankDeficientReturnsEmpty) {
-  Matrix a(3, 2);
-  for (size_t i = 0; i < 3; ++i) {
-    a(i, 0) = 1.0;
-    a(i, 1) = 2.0;  // duplicate direction
-  }
-  EXPECT_TRUE(linear_least_squares(a, {1, 2, 3}).empty());
-}
 
 TEST(RSquaredTest, PerfectFitIsOne) {
   EXPECT_DOUBLE_EQ(r_squared({1, 2, 3}, {1, 2, 3}), 1.0);

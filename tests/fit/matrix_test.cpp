@@ -14,15 +14,6 @@ TEST(MatrixTest, ConstructionAndIndexing) {
   EXPECT_DOUBLE_EQ(m(0, 0), 7.0);
 }
 
-TEST(MatrixTest, Identity) {
-  const Matrix id = Matrix::identity(3);
-  for (size_t r = 0; r < 3; ++r) {
-    for (size_t c = 0; c < 3; ++c) {
-      EXPECT_DOUBLE_EQ(id(r, c), r == c ? 1.0 : 0.0);
-    }
-  }
-}
-
 TEST(MatrixTest, Transpose) {
   Matrix m(2, 3);
   m(0, 1) = 5.0;
@@ -49,18 +40,6 @@ TEST(MatrixTest, Multiply) {
   EXPECT_DOUBLE_EQ(c(0, 1), 22);
   EXPECT_DOUBLE_EQ(c(1, 0), 43);
   EXPECT_DOUBLE_EQ(c(1, 1), 50);
-}
-
-TEST(MatrixTest, AddSubtractScale) {
-  Matrix a(1, 2);
-  a(0, 0) = 1;
-  a(0, 1) = 2;
-  Matrix b(1, 2);
-  b(0, 0) = 3;
-  b(0, 1) = 5;
-  EXPECT_DOUBLE_EQ((a + b)(0, 1), 7);
-  EXPECT_DOUBLE_EQ((b - a)(0, 0), 2);
-  EXPECT_DOUBLE_EQ(a.scaled(4.0)(0, 1), 8);
 }
 
 TEST(MatrixTest, SolveWellConditioned) {

@@ -56,6 +56,24 @@ TEST(ConcurrencyModelTest, IntegerOptimumMatchesContinuous) {
   EXPECT_GE(model.throughput(nb), model.throughput(nb + 1));
 }
 
+TEST(ConcurrencyModelTest, IntegerOptimumIsTheEq7Knee) {
+  ConcurrencyModel tomcat{kTomcat, 1.0, 1, 1.0};
+  EXPECT_NEAR(tomcat.optimal_concurrency_int(500), 20, 1);  // Table I: Tomcat N_b = 20
+}
+
+TEST(ConcurrencyModelTest, IntegerOptimumTieBreaksToSmaller) {
+  // S0 = β·n(n+1) makes Eq. 7 exactly flat between n = 3 and 4:
+  // 3 / (12 + 1·3·2) == 4 / (12 + 1·4·3) == 1/6.
+  ConcurrencyModel flat{{12.0, 0.0, 1.0}, 1.0, 1, 1.0};
+  ASSERT_EQ(flat.throughput(3.0), flat.throughput(4.0));
+  EXPECT_EQ(flat.optimal_concurrency_int(10), 3);
+}
+
+TEST(ConcurrencyModelTest, IntegerOptimumWithLimitOneIsOne) {
+  ConcurrencyModel tomcat{kTomcat, 1.0, 1, 1.0};
+  EXPECT_EQ(tomcat.optimal_concurrency_int(1), 1);
+}
+
 TEST(ConcurrencyModelTest, Eq8MatchesThroughputAtOptimum) {
   ConcurrencyModel model{kMysql, 1.0, 1, 2.0};
   EXPECT_NEAR(model.max_throughput(), model.throughput(model.optimal_concurrency()), 1e-9);

@@ -149,7 +149,7 @@ TEST(SubRequestRetryTest, RetryRecoversVisitAfterDownstreamFastFail) {
   up.max_threads = 8;
   Server upstream(engine, up, 0, Rng(9));
   upstream.set_out_edges({{&db_tier, /*edge_id=*/0, /*pool_capacity=*/8, /*managed=*/true}});
-  SubRequestRetryPolicy retry;
+  RetryPolicy retry;
   retry.max_retries = 1;
   retry.backoff_base_seconds = 0.01;
   upstream.set_subrequest_retry(retry);
@@ -185,7 +185,7 @@ TEST(SubRequestRetryTest, DeadlineExpirationsAreCountedAndBounded) {
   up.max_threads = 8;
   Server upstream(engine, up, 0, Rng(11));
   upstream.set_out_edges({{&db_tier, /*edge_id=*/0, /*pool_capacity=*/8, /*managed=*/true}});
-  SubRequestRetryPolicy retry;
+  RetryPolicy retry;
   retry.timeout_seconds = 0.01;
   retry.max_retries = 1;
   retry.backoff_base_seconds = 0.01;
@@ -239,7 +239,7 @@ TEST(SubRequestRetryTest, FanOutBranchesHonourTheRetryPolicy) {
   Server upstream(engine, up, 0, Rng(13));
   upstream.set_out_edges({{&flaky_tier, /*edge_id=*/0, /*pool_capacity=*/0, /*managed=*/false},
                           {&slow_tier, /*edge_id=*/1, /*pool_capacity=*/4, /*managed=*/true}});
-  SubRequestRetryPolicy retry;
+  RetryPolicy retry;
   retry.timeout_seconds = 0.1;
   retry.max_retries = 1;
   retry.backoff_base_seconds = 0.01;

@@ -18,6 +18,7 @@
 #include "ntier/app.h"
 #include "ntier/request.h"
 #include "sim/engine.h"
+#include "workload/closed_loop.h"
 
 namespace {
 std::atomic<uint64_t> g_alloc_count{0};
@@ -206,6 +207,43 @@ TEST(AllocationFreeTest, FanOutRoundTripIsAllocationFreeAtSteadyState) {
   EXPECT_EQ(allocations(), before)
       << "steady-state fan-out round trips allocated";
   EXPECT_EQ(driver.completed, 1200u);
+}
+
+TEST(AllocationFreeTest, ClientRetryRoundTripIsAllocationFreeAtSteadyState) {
+  // The client half of the one attempt mechanism: JMeter users on a 1/1/1
+  // chain with the client's deadline and retries armed, and the servers'
+  // sub-request deadline and retry armed too. Every client attempt is a
+  // slab slot whose continuations capture [this, handle], so once the
+  // slabs are warm, issuing, arming the deadline and settling allocate
+  // nothing.
+  Engine engine;
+  ntier::NTierApp app(engine, core::build_service_graph({}, {1, 1, 1}, {1000, 100, 80}),
+                      /*seed=*/1);
+  ntier::RetryPolicy sub_retry;
+  sub_retry.timeout_seconds = 1.0;
+  sub_retry.max_retries = 1;
+  sub_retry.backoff_base_seconds = 0.05;
+  app.tier(0).set_subrequest_retry(sub_retry);
+  app.tier(1).set_subrequest_retry(sub_retry);
+  const workload::ServletCatalog catalog = workload::ServletCatalog::browse_only_mix();
+  auto generator = workload::make_jmeter(engine, app, catalog, /*users=*/4);
+  ntier::RetryPolicy client_retry;
+  client_retry.timeout_seconds = 2.0;
+  client_retry.max_retries = 2;
+  client_retry.backoff_base_seconds = 0.25;
+  generator->set_retry_policy(client_retry);
+  generator->start();
+  // The client's per-second series add one bucket per sim-second: warmed to
+  // 17 s they hold 18 buckets in a 32-slot vector, so the measured window
+  // [17, 31) s grows them without a reallocation.
+  engine.run_until(from_seconds(17.0));
+  const uint64_t warm = generator->stats().completed();
+  ASSERT_GE(warm, 100u) << "warm-up did not complete";
+  const uint64_t before = allocations();
+  engine.run_until(from_seconds(31.0));
+  EXPECT_EQ(allocations(), before) << "steady-state client attempts allocated";
+  EXPECT_GT(generator->stats().completed(), warm + 100);
+  EXPECT_EQ(generator->stats().errors(), 0u);
 }
 
 TEST(AllocationFreeTest, OversizedCapturesHeapBoxButStillWork) {

@@ -134,6 +134,9 @@ TEST(TraceDeterminismTest, ChaosAnnotationsAreTheRunLogElementByElement) {
   const ExperimentResult result = run_experiment(config);
   EXPECT_EQ(scenario::result_digest(result), 11487354307476855148ull);
   ASSERT_NE(result.trace_report, nullptr);
+  // Pins the sampled traces themselves too, including the client's backoff
+  // and timeout-wait spans and attempt counts.
+  EXPECT_EQ(scenario::trace_digest(*result.trace_report), 14153137939280334098ull);
 
   const std::vector<sim::RunEvent>& annotations = result.trace_report->annotations;
   EXPECT_EQ(result.actions.size(), 23u);

@@ -18,7 +18,7 @@ TEST(ClientRetryTest, DeadlineExpirationsAreTimeoutsThenFinalError) {
   // A 1 ms deadline is far below any servlet's service time, so every
   // attempt times out: each cycle is exactly (max_retries + 1) timeouts,
   // max_retries re-issues, and one final error.
-  RetryPolicy policy;
+  ntier::RetryPolicy policy;
   policy.timeout_seconds = 0.001;
   policy.max_retries = 1;
   policy.backoff_base_seconds = 0.01;
@@ -46,7 +46,7 @@ TEST(ClientRetryTest, RetryRecoversFromSilentlyCrashedBackend) {
 
   const ServletCatalog catalog = ServletCatalog::browse_only_mix();
   auto generator = make_jmeter(engine, app, catalog, 1);
-  RetryPolicy policy;
+  ntier::RetryPolicy policy;
   policy.max_retries = 2;
   policy.backoff_base_seconds = 0.01;
   generator->set_retry_policy(policy);
@@ -66,7 +66,9 @@ TEST(ClientRetryTest, DisabledPolicyKeepsLegacyAccounting) {
                       /*seed=*/1);
   const ServletCatalog catalog = ServletCatalog::browse_only_mix();
   auto generator = make_jmeter(engine, app, catalog, 4);
-  ASSERT_FALSE(generator->retry_policy().enabled());
+  // The default policy: one attempt, no deadline — no timer, no jitter.
+  ASSERT_DOUBLE_EQ(generator->retry_policy().timeout_seconds, 0.0);
+  ASSERT_EQ(generator->retry_policy().max_retries, 0);
   generator->start();
   engine.run_until(sim::from_seconds(10.0));
 
@@ -110,7 +112,7 @@ TEST(ClientStatsAccountingTest, RetriedCompletionIsOneRequestMeasuredEndToEnd) {
 
   const ServletCatalog catalog = ServletCatalog::browse_only_mix();
   auto generator = make_jmeter(engine, app, catalog, 1);
-  RetryPolicy policy;
+  ntier::RetryPolicy policy;
   policy.max_retries = 2;
   policy.backoff_base_seconds = 2.0;  // jitter 0.2 keeps this in [1.6, 2.4] s
   generator->set_retry_policy(policy);
