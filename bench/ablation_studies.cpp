@@ -110,7 +110,7 @@ int main() {
       config.hardware = {1, 2, 1};
       config.soft = {1000, 100, 18};
       config.workload = core::WorkloadSpec::rubbos(400);
-      config.controller = core::ControllerSpec::none();
+      config.controller = core::ControllerSpec{};
       config.duration_seconds = 150.0;
       config.warmup_seconds = 50.0;
 

@@ -57,7 +57,7 @@ int main(int argc, char** argv) {
   config.hardware = {1, k_tomcat, k_mysql};
   config.soft = {1000, tomcat.optimal_concurrency_int(), conns};
   config.workload = core::WorkloadSpec::rubbos(users);
-  config.controller = core::ControllerSpec::none();
+  config.controller = core::ControllerSpec{};
   config.duration_seconds = 150.0;
   config.warmup_seconds = 50.0;
   config.max_vms_per_tier = std::max({8, k_tomcat, k_mysql});

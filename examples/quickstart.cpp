@@ -21,7 +21,7 @@ int main(int argc, char** argv) {
   config.hardware = {1, 1, 1};
   config.soft = {1000, 100, 80};  // the paper's default allocation
   config.workload = core::WorkloadSpec::rubbos(users, /*think_s=*/3.0);
-  config.controller = core::ControllerSpec::none();
+  config.controller = core::ControllerSpec{};
   config.duration_seconds = 120.0;
   config.warmup_seconds = 30.0;
 

@@ -1,7 +1,5 @@
 #include "control/controller.h"
 
-#include <algorithm>
-
 #include "common/check.h"
 #include "common/logging.h"
 #include "ntier/monitor_agent.h"
@@ -13,18 +11,17 @@ ControllerBase::ControllerBase(sim::Engine& engine, ntier::NTierApp& app, bus::B
     : engine_(&engine),
       app_(&app),
       policy_(policy),
+      control_period_(sim::from_seconds(policy.control_period_seconds)),
       name_(std::move(name)),
       vm_agent_(engine, app),
       app_agent_(engine, app),
       low_util_streak_(app.tier_count(), 0),
-      previous_util_(app.tier_count(), 0.0),
-      has_previous_util_(app.tier_count(), false),
       last_capacity_(app.tier_count(), -1),
       scale_out_gate_(app.tier_count(),
                       HysteresisGate(policy.hysteresis, TriggerDirection::kAbove)),
       scale_in_gate_(app.tier_count(),
                      HysteresisGate(policy.hysteresis, TriggerDirection::kBelow)) {
-  DCM_CHECK(policy_.control_period > 0);
+  DCM_CHECK(control_period_ > 0);
   // Normally the MonitorFleet creates the metrics topic first; create it
   // here too so construction order doesn't matter.
   if (broker.find_topic(ntier::kMetricsTopic) == nullptr) {
@@ -36,14 +33,14 @@ ControllerBase::ControllerBase(sim::Engine& engine, ntier::NTierApp& app, bus::B
   consumer_ = std::make_unique<bus::Consumer>(broker, /*group=*/name_, ntier::kMetricsTopic);
   util_series_.reserve(app.tier_count());
   for (size_t i = 0; i < app.tier_count(); ++i) {
-    util_series_.emplace_back(app.tier(i).name() + ".util", policy_.control_period);
+    util_series_.emplace_back(app.tier(i).name() + ".util", control_period_);
   }
 }
 
 ControllerBase::~ControllerBase() { timer_.cancel(); }
 
 void ControllerBase::start() {
-  timer_ = engine_->schedule_periodic(policy_.control_period, [this] { control_tick(); });
+  timer_ = engine_->schedule_periodic(control_period_, [this] { control_tick(); });
 }
 
 void ControllerBase::stop() { timer_.cancel(); }
@@ -67,7 +64,7 @@ void ControllerBase::control_tick() {
 
   const auto observations = aggregate();
   for (const auto& obs : observations) {
-    util_series_[static_cast<size_t>(obs.depth)].add(engine_->now() - policy_.control_period,
+    util_series_[static_cast<size_t>(obs.depth)].add(engine_->now() - control_period_,
                                                      obs.mean_util);
   }
   decide(observations);
@@ -110,31 +107,35 @@ std::vector<TierObservation> ControllerBase::aggregate() {
 }
 
 bool ControllerBase::apply_hardware_rule(size_t tier_index, const TierObservation& obs) {
-  if (tier_index == 0 && !policy_.scale_front_tier) return false;
-  if (obs.samples == 0) {
-    // A silent period breaks the sample chain. A trend computed across the
-    // gap would read a multi-period-old utilisation as "last period's", so
-    // drop the prior and behave reactively on the first post-gap period.
-    has_previous_util_[tier_index] = false;
-    return false;
-  }
-
-  // Predictive extension: judge scale-out on the utilisation projected one
-  // period ahead from the two most recent observations. The prior is seeded
-  // with the first observation, so period 0 is purely reactive.
-  double out_signal = obs.mean_util;
-  if (policy_.predictive && has_previous_util_[tier_index]) {
-    const double projected = obs.mean_util + (obs.mean_util - previous_util_[tier_index]);
-    out_signal = std::max(out_signal, projected);
-  }
-  previous_util_[tier_index] = obs.mean_util;
-  has_previous_util_[tier_index] = true;
-
   // SLA extension: response-time violation also triggers a scale-out.
   const bool rt_violation = policy_.scale_out_response_time > 0.0 &&
                             obs.mean_response_time > policy_.scale_out_response_time;
+  return apply_threshold_rule(tier_index, obs, obs.mean_util, obs.mean_util, rt_violation);
+}
 
-  return apply_threshold_rule(tier_index, obs, out_signal, obs.mean_util, rt_violation);
+bool ControllerBase::apply_threshold_rule(size_t tier_index, const TierObservation& obs,
+                                          double out_signal, double in_signal, bool force_out) {
+  // The gates see exactly the periods the step may act on, and see every one
+  // of them, so their state tracks the signal even while the other side is
+  // acting. Width 0 degenerates to the historical strict `>` / `<`.
+  if (!actuable(tier_index, obs)) return false;
+  const bool out_hot = scale_out_gate_[tier_index].update(out_signal, policy_.scale_out_util);
+  const bool in_hot = scale_in_gate_[tier_index].update(in_signal, policy_.scale_in_util);
+  return step(tier_index, obs, out_hot || force_out, in_hot);
+}
+
+bool ControllerBase::actuate_toward(size_t tier_index, const TierObservation& obs,
+                                    int desired_active) {
+  // Booting VMs count toward provisioned capacity so a deficit already being
+  // filled doesn't trigger a second launch; a surplus is judged only once
+  // the fleet has settled.
+  const int provisioned = obs.active_vms + obs.booting_vms;
+  return step(tier_index, obs, desired_active > provisioned,
+              desired_active < obs.active_vms && obs.booting_vms == 0);
+}
+
+bool ControllerBase::actuable(size_t tier_index, const TierObservation& obs) {
+  return tier_index != 0 && obs.samples > 0;
 }
 
 bool ControllerBase::membership_churned(size_t tier_index, const TierObservation& obs) {
@@ -145,59 +146,23 @@ bool ControllerBase::membership_churned(size_t tier_index, const TierObservation
   return churned;
 }
 
-bool ControllerBase::apply_threshold_rule(size_t tier_index, const TierObservation& obs,
-                                          double out_signal, double in_signal, bool force_out) {
-  if (tier_index == 0 && !policy_.scale_front_tier) return false;
-  if (obs.samples == 0) return false;
+bool ControllerBase::step(size_t tier_index, const TierObservation& obs, bool out, bool in) {
+  if (!actuable(tier_index, obs)) return false;
 
   auto& streak = low_util_streak_[tier_index];
   // Capacity changed since the last sampled period (a launch, a crash, a
-  // replacement): the below-threshold streak was gathered against a
-  // different fleet, so restart the slow scale-in clock.
+  // replacement): the scale-in streak was gathered against a different
+  // fleet, so restart the slow scale-in clock.
   if (membership_churned(tier_index, obs)) streak = 0;
 
-  // Both gates see every sampled period so their state tracks the signal
-  // even while the other side is acting. Width 0 degenerates to the
-  // historical strict `>` / `<` comparisons.
-  const bool out_hot = scale_out_gate_[tier_index].update(out_signal, policy_.scale_out_util);
-  const bool in_hot = scale_in_gate_[tier_index].update(in_signal, policy_.scale_in_util);
-
-  if (out_hot || force_out) {
+  if (out) {
     streak = 0;
-    if (policy_.wait_for_booting && obs.booting_vms > 0) return false;
+    if (obs.booting_vms > 0) return false;
     return vm_agent_.scale_out(tier_index);
   }
-  if (in_hot) {
-    ++streak;
-    if (streak >= policy_.scale_in_consecutive) {
-      streak = 0;
-      return vm_agent_.scale_in(tier_index);
-    }
-    return false;
-  }
-  streak = 0;
-  return false;
-}
-
-bool ControllerBase::actuate_toward(size_t tier_index, const TierObservation& obs,
-                                    int desired_active) {
-  if (tier_index == 0 && !policy_.scale_front_tier) return false;
-  if (obs.samples == 0) return false;
-
-  auto& streak = low_util_streak_[tier_index];
-  if (membership_churned(tier_index, obs)) streak = 0;
-
-  // Booting VMs count toward provisioned capacity so a deficit already being
-  // filled doesn't trigger a second launch.
-  const int provisioned = obs.active_vms + obs.booting_vms;
-  if (desired_active > provisioned) {
-    streak = 0;
-    if (policy_.wait_for_booting && obs.booting_vms > 0) return false;
-    return vm_agent_.scale_out(tier_index);
-  }
-  if (desired_active < obs.active_vms && obs.booting_vms == 0) {
-    // Surplus: same "slow turn off" discipline as the threshold rule — the
-    // surplus must persist for scale_in_consecutive periods.
+  if (in) {
+    // "Slow turn off": the scale-in case must persist for
+    // scale_in_consecutive periods.
     ++streak;
     if (streak >= policy_.scale_in_consecutive) {
       streak = 0;

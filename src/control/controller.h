@@ -73,9 +73,8 @@ class ControllerBase {
 
   /// Capacity-target actuation for controllers that compute a desired
   /// active-VM count directly (queueing inversion, PI). Moves the tier at
-  /// most one VM toward `desired_active` per period, with the same booting
-  /// suppression and slow scale-in streak as the threshold rule. Returns
-  /// true if an action was taken.
+  /// most one VM toward `desired_active` per period. Returns true if an
+  /// action was taken.
   bool actuate_toward(size_t tier_index, const TierObservation& obs, int desired_active);
 
   /// Raw samples drained this period (DCM's online estimator consumes them).
@@ -90,6 +89,13 @@ class ControllerBase {
  private:
   void control_tick();
   std::vector<TierObservation> aggregate();
+  /// True for a period the policy may act on: a sampled, non-front tier.
+  static bool actuable(size_t tier_index, const TierObservation& obs);
+  /// The one actuation step both rules share, fed whether this period
+  /// argues for one more VM (`out`) or one fewer (`in`): the actuable
+  /// guard, the churn reset, booting suppression and the slow scale-in
+  /// streak. Returns true if an action was taken.
+  bool step(size_t tier_index, const TierObservation& obs, bool out, bool in);
   /// Tracks the tier's provisioned VM count (active + booting) and reports
   /// whether it changed since the previous sampled period. Membership churn
   /// invalidates the slow scale-in streak: evidence gathered against the old
@@ -99,6 +105,7 @@ class ControllerBase {
   sim::Engine* engine_;
   ntier::NTierApp* app_;
   ScalingPolicy policy_;
+  sim::SimTime control_period_;
   std::string name_;
   VmAgent vm_agent_;
   AppAgent app_agent_;
@@ -106,8 +113,6 @@ class ControllerBase {
   sim::EventHandle timer_;
   std::vector<ntier::MetricSample> period_samples_;
   std::vector<int> low_util_streak_;     // per tier, for slow scale-in
-  std::vector<double> previous_util_;    // per tier, for predictive trend
-  std::vector<bool> has_previous_util_;  // per tier
   std::vector<int> last_capacity_;       // per tier, provisioned VMs (-1 = unseen)
   std::vector<HysteresisGate> scale_out_gate_;  // per tier
   std::vector<HysteresisGate> scale_in_gate_;   // per tier

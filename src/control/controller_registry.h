@@ -18,26 +18,21 @@ namespace dcm::control {
 
 /// A controller choice: the registry name plus everything its construction
 /// might need — the shared VM-level policy and each family's tuning knobs.
-/// Only the named family's config is read, and `make_controller` stamps
-/// `policy` into it, so callers set the policy once and fill only the knobs
-/// of the family they chose.
+/// `make_controller` hands the policy and the named family's config to that
+/// family's constructor; the other families' configs are not read.
 struct ControllerSpec {
-  /// A `controller_names()` entry; "none" or "" = no controller.
+  /// A `controller_names()` entry, or "none" for no controller.
   std::string name = "none";
-  ScalingPolicy policy;
-  DcmConfig dcm;
-  PredictiveConfig predictive;
-  QueueingConfig queueing;
-  PiConfig pi;
+  // Braced so a designated initializer may name only what it sets.
+  ScalingPolicy policy{};
+  DcmConfig dcm{};
+  PredictiveConfig predictive{};
+  QueueingConfig queueing{};
+  PiConfig pi{};
 
-  bool enabled() const { return !name.empty() && name != "none"; }
+  bool enabled() const { return name != "none"; }
 
-  static ControllerSpec none();
-  static ControllerSpec ec2(ScalingPolicy policy = {});
-  static ControllerSpec dcm_controller(DcmConfig config);
-  static ControllerSpec predictive_controller(PredictiveConfig config);
-  static ControllerSpec queueing_controller(QueueingConfig config);
-  static ControllerSpec pi_controller(PiConfig config);
+  bool operator==(const ControllerSpec&) const = default;
 };
 
 /// Registered controller names, sorted (stable sweep-axis order).

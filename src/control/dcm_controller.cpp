@@ -2,28 +2,53 @@
 
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "common/check.h"
 #include "common/logging.h"
 
 namespace dcm::control {
 
+std::optional<std::pair<size_t, size_t>> DcmController::managed_pair(
+    const ntier::ServiceGraph& graph) {
+  const int app_node = graph.first_node_with_role(ntier::NodeRole::kApp);
+  const int db_node = graph.first_node_with_role(ntier::NodeRole::kDb);
+  if (app_node < 0 || db_node < 0) return std::nullopt;
+  // Depth-first search of the DAG from the app node for the db node.
+  std::vector<size_t> stack{static_cast<size_t>(app_node)};
+  std::vector<bool> seen(graph.node_count(), false);
+  while (!stack.empty()) {
+    const size_t node = stack.back();
+    stack.pop_back();
+    if (node == static_cast<size_t>(db_node)) {
+      return std::pair<size_t, size_t>(static_cast<size_t>(app_node), node);
+    }
+    if (seen[node]) continue;
+    seen[node] = true;
+    for (int edge : graph.out_edges(node)) {
+      stack.push_back(static_cast<size_t>(graph.edge(static_cast<size_t>(edge)).to));
+    }
+  }
+  return std::nullopt;
+}
+
 DcmController::DcmController(sim::Engine& engine, ntier::NTierApp& app, bus::Broker& broker,
-                             DcmConfig config)
-    : ControllerBase(engine, app, broker, config.policy, "dcm"),
+                             ScalingPolicy policy, DcmConfig config)
+    : ControllerBase(engine, app, broker, policy, "dcm"),
       config_(std::move(config)),
       app_estimator_(config_.estimator),
       db_estimator_(config_.estimator) {
-  DCM_CHECK_MSG(config_.app_tier < app.tier_count() && config_.db_tier < app.tier_count() &&
-                    config_.app_tier < config_.db_tier,
-                "DcmController tier indexes out of range");
+  const auto pair = managed_pair(app.graph());
+  DCM_CHECK_MSG(pair.has_value(), "DcmController needs an app node upstream of a db node");
+  app_tier_ = pair->first;
+  db_tier_ = pair->second;
   DCM_CHECK(config_.app_tier_model.params.valid());
   DCM_CHECK(config_.db_tier_model.params.valid());
   DCM_CHECK(config_.stp_headroom >= 1.0);
 
   // APP-agent follows the VM-agent: re-tune as soon as a VM enters service
   // (unless the watchdog has soft actuation frozen).
-  for (size_t depth : {config_.app_tier, config_.db_tier}) {
+  for (size_t depth : {app_tier_, db_tier_}) {
     app.tier(depth).add_vm_activated_callback([this](ntier::Vm&) {
       if (!frozen_) reallocate_soft_resources();
     });
@@ -33,11 +58,7 @@ DcmController::DcmController(sim::Engine& engine, ntier::NTierApp& app, bus::Bro
 }
 
 int DcmController::cached_nb(const model::ConcurrencyModel& m, NbCache& cache) {
-  const bool same = cache.valid && m.params.s0 == cache.model.params.s0 &&
-                    m.params.alpha == cache.model.params.alpha &&
-                    m.params.beta == cache.model.params.beta && m.gamma == cache.model.gamma &&
-                    m.servers == cache.model.servers && m.visit_ratio == cache.model.visit_ratio;
-  if (!same) {
+  if (!cache.valid || !(m == cache.model)) {
     cache.model = m;
     cache.nb = m.optimal_concurrency_int();
     cache.valid = true;
@@ -85,9 +106,9 @@ void DcmController::decide(const std::vector<TierObservation>& observations) {
   if (config_.online_estimation && !telemetry_stale) {
     for (const auto& s : period_samples()) {
       if (s.vm_state != "ACTIVE") continue;
-      if (static_cast<size_t>(s.depth) == config_.app_tier) {
+      if (static_cast<size_t>(s.depth) == app_tier_) {
         app_estimator_.observe(s.concurrency, s.throughput);
-      } else if (static_cast<size_t>(s.depth) == config_.db_tier) {
+      } else if (static_cast<size_t>(s.depth) == db_tier_) {
         db_estimator_.observe(s.concurrency, s.throughput);
       }
     }
@@ -118,8 +139,8 @@ void DcmController::set_frozen(bool frozen, const char* reason) {
 }
 
 void DcmController::reallocate_soft_resources() {
-  ntier::Tier& app_tier = app().tier(config_.app_tier);
-  ntier::Tier& db_tier = app().tier(config_.db_tier);
+  ntier::Tier& app_tier = app().tier(app_tier_);
+  ntier::Tier& db_tier = app().tier(db_tier_);
 
   // Use ACTIVE counts: a booting DB VM is not yet sharing load, so sizing
   // for it early would overload the survivors; the activation callback
@@ -127,18 +148,18 @@ void DcmController::reallocate_soft_resources() {
   const int k_app = std::max(1, app_tier.active_vm_count());
   const int k_db = std::max(1, db_tier.active_vm_count());
 
-  app_agent().set_thread_pool_size(config_.app_tier, app_tier_nb());
+  app_agent().set_thread_pool_size(app_tier_, app_tier_nb());
 
   const int total_db_concurrency = k_db * db_tier_nb();
   const int conns_per_app = std::max(
       config_.min_conns,
       static_cast<int>(std::ceil(static_cast<double>(total_db_concurrency) / k_app)));
-  app_agent().set_downstream_connections(config_.app_tier, conns_per_app);
+  app_agent().set_downstream_connections(app_tier_, conns_per_app);
 }
 
 void DcmController::refine_models_online() {
-  const ntier::Tier& app_tier = app().tier(config_.app_tier);
-  const ntier::Tier& db_tier = app().tier(config_.db_tier);
+  const ntier::Tier& app_tier = app().tier(app_tier_);
+  const ntier::Tier& db_tier = app().tier(db_tier_);
   if (auto fitted = app_estimator_.fit(std::max(1, app_tier.active_vm_count()),
                                        config_.app_tier_model.visit_ratio)) {
     if (config_.min_fit_r2 > 0.0 && fitted->r_squared < config_.min_fit_r2) {

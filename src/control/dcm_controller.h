@@ -16,6 +16,9 @@
 // from monitoring samples.
 #pragma once
 
+#include <optional>
+#include <utility>
+
 #include "control/controller.h"
 #include "control/online_estimator.h"
 #include "model/bottleneck.h"
@@ -24,7 +27,6 @@
 namespace dcm::control {
 
 struct DcmConfig {
-  ScalingPolicy policy;
   /// Trained model for the app tier (e.g. Tomcat, Table I column 1).
   model::ConcurrencyModel app_tier_model;
   /// Trained model for the DB tier (e.g. MySQL, Table I column 2).
@@ -49,16 +51,18 @@ struct DcmConfig {
   int watchdog_periods = 0;
   double min_fit_r2 = 0.0;
 
-  /// Tier indexes of the concurrency-managed pair. Defaults fit the 3-tier
-  /// web(0)/app(1)/db(2) layout; the 4-tier layout with a DB load-balancer
-  /// tier uses app_tier=1, db_tier=3.
-  size_t app_tier = 1;
-  size_t db_tier = 2;
+  bool operator==(const DcmConfig&) const = default;
 };
 
 class DcmController final : public ControllerBase {
  public:
-  DcmController(sim::Engine& engine, ntier::NTierApp& app, bus::Broker& broker, DcmConfig config);
+  DcmController(sim::Engine& engine, ntier::NTierApp& app, bus::Broker& broker,
+                ScalingPolicy policy, DcmConfig config);
+
+  /// The concurrency-managed (app, db) node pair of `graph`: its first app
+  /// node and its first db node, when the db node lies downstream of the app
+  /// node; nullopt otherwise (DCM has nothing to manage there).
+  static std::optional<std::pair<size_t, size_t>> managed_pair(const ntier::ServiceGraph& graph);
 
   /// Current per-server optima the APP-agent deploys.
   int app_tier_nb() const;
@@ -86,7 +90,7 @@ class DcmController final : public ControllerBase {
   /// Memoized optimal_concurrency_int(): the argmax scan evaluates the model
   /// ~4k times, reallocation runs every control period plus on every VM
   /// activation, and the model only actually changes when an online refit
-  /// lands. Keyed on every field the scan reads.
+  /// lands. Keyed on the whole model.
   struct NbCache {
     model::ConcurrencyModel model;
     int nb = 0;
@@ -99,6 +103,8 @@ class DcmController final : public ControllerBase {
   void set_frozen(bool frozen, const char* reason);
 
   DcmConfig config_;
+  size_t app_tier_ = 0;  // the managed pair, from managed_pair()
+  size_t db_tier_ = 0;
   OnlineModelEstimator app_estimator_;
   OnlineModelEstimator db_estimator_;
   mutable NbCache app_nb_cache_;

@@ -29,6 +29,8 @@ struct EstimatorConfig {
   int min_samples_per_bin = 2;
   double min_r_squared = 0.80;  // reject fits worse than this
   int window_per_bin = 64;      // most-recent samples a bin remembers
+
+  bool operator==(const EstimatorConfig&) const = default;
 };
 
 /// Mean over a fixed-capacity ring of the most recent samples.

@@ -7,8 +7,8 @@
 namespace dcm::control {
 
 PiController::PiController(sim::Engine& engine, ntier::NTierApp& app, bus::Broker& broker,
-                           PiConfig config)
-    : ControllerBase(engine, app, broker, config.policy, "pi"),
+                           ScalingPolicy policy, PiConfig config)
+    : ControllerBase(engine, app, broker, policy, "pi"),
       config_(config),
       integral_(app.tier_count(), 0.0) {
   DCM_CHECK(config_.target_util > 0.0 && config_.target_util < 1.0);

@@ -30,7 +30,6 @@
 namespace dcm::control {
 
 struct PiConfig {
-  ScalingPolicy policy;
   /// Per-server utilisation setpoint ρ* (0 < ρ* < 1).
   double target_util = 0.6;
   /// Proportional gain (VMs per unit utilisation error).
@@ -57,7 +56,8 @@ inline constexpr KeyRow<PiConfig> kPiTuningKeys[] = {
 
 class PiController final : public ControllerBase {
  public:
-  PiController(sim::Engine& engine, ntier::NTierApp& app, bus::Broker& broker, PiConfig config);
+  PiController(sim::Engine& engine, ntier::NTierApp& app, bus::Broker& broker,
+               ScalingPolicy policy, PiConfig config);
 
   /// Current error integral for a tier (tests/inspection).
   double integral(size_t tier_index) const { return integral_[tier_index]; }

@@ -7,8 +7,9 @@
 namespace dcm::control {
 
 PredictiveController::PredictiveController(sim::Engine& engine, ntier::NTierApp& app,
-                                           bus::Broker& broker, PredictiveConfig config)
-    : ControllerBase(engine, app, broker, config.policy, "predictive"),
+                                           bus::Broker& broker, ScalingPolicy policy,
+                                           PredictiveConfig config)
+    : ControllerBase(engine, app, broker, policy, "predictive"),
       config_(config),
       level_(app.tier_count(), 0.0),
       trend_(app.tier_count(), 0.0),

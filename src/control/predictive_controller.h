@@ -27,7 +27,6 @@
 namespace dcm::control {
 
 struct PredictiveConfig {
-  ScalingPolicy policy;
   /// Smoothing weight on the newest observation (0 < α ≤ 1).
   double level_alpha = 0.5;
   /// Smoothing weight on the newest trend increment (0 ≤ β ≤ 1).
@@ -54,7 +53,7 @@ inline constexpr KeyRow<PredictiveConfig> kPredictiveTuningKeys[] = {
 class PredictiveController final : public ControllerBase {
  public:
   PredictiveController(sim::Engine& engine, ntier::NTierApp& app, bus::Broker& broker,
-                       PredictiveConfig config);
+                       ScalingPolicy policy, PredictiveConfig config);
 
   /// Last forecast per tier (for tests/inspection); raw utilisation until
   /// the smoother has seen at least one sample.

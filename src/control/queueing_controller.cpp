@@ -8,8 +8,9 @@
 namespace dcm::control {
 
 QueueingController::QueueingController(sim::Engine& engine, ntier::NTierApp& app,
-                                       bus::Broker& broker, QueueingConfig config)
-    : ControllerBase(engine, app, broker, config.policy, "queueing"),
+                                       bus::Broker& broker, ScalingPolicy policy,
+                                       QueueingConfig config)
+    : ControllerBase(engine, app, broker, policy, "queueing"),
       config_(config),
       demand_(app.tier_count(), 0.0),
       initialized_(app.tier_count(), false) {

@@ -26,7 +26,6 @@
 namespace dcm::control {
 
 struct QueueingConfig {
-  ScalingPolicy policy;
   /// Per-server target utilisation ρ* (0 < ρ* < 1). The default 0.6 keeps
   /// M/G/1-PS response time at 2.5× the bare service demand.
   double target_util = 0.6;
@@ -46,7 +45,7 @@ inline constexpr KeyRow<QueueingConfig> kQueueingTuningKeys[] = {
 class QueueingController final : public ControllerBase {
  public:
   QueueingController(sim::Engine& engine, ntier::NTierApp& app, bus::Broker& broker,
-                     QueueingConfig config);
+                     ScalingPolicy policy, QueueingConfig config);
 
   /// Smoothed demand estimate in busy-servers for a tier (tests/inspection).
   double demand_estimate(size_t tier_index) const { return demand_[tier_index]; }

@@ -123,29 +123,15 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
   }
 
   std::unique_ptr<control::ControllerBase> controller;
-  if (config.controller.name == "dcm") {
-    // DCM's managed pair and watchdog depend on the run, so a DCM spec is
-    // copied to be adjusted; every other family is built from it as is.
-    control::ControllerSpec dcm = config.controller;
-    // When the caller left the managed pair at the 3-tier defaults, derive
-    // it from the graph roles (first app node / first db node) so non-chain
-    // topologies get the right pair without explicit indexes. Chains derive
-    // their existing values, so this never shifts a legacy configuration.
-    if (dcm.dcm.app_tier == 1 && dcm.dcm.db_tier == 2) {
-      const int app_node = graph.first_node_with_role(ntier::NodeRole::kApp);
-      const int db_node = graph.first_node_with_role(ntier::NodeRole::kDb);
-      if (app_node >= 0 && db_node >= 0 && app_node < db_node) {
-        dcm.dcm.app_tier = static_cast<size_t>(app_node);
-        dcm.dcm.db_tier = static_cast<size_t>(db_node);
-      }
-    }
+  if (config.controller.enabled()) {
+    // DCM's watchdog is part of the run's resilience switchboard, so the
+    // spec is copied to carry it.
+    control::ControllerSpec spec = config.controller;
     if (config.resilience.enabled) {
-      dcm.dcm.watchdog_periods = config.resilience.watchdog_periods;
-      dcm.dcm.min_fit_r2 = config.resilience.min_fit_r2;
+      spec.dcm.watchdog_periods = config.resilience.watchdog_periods;
+      spec.dcm.min_fit_r2 = config.resilience.min_fit_r2;
     }
-    controller = control::make_controller(engine, app, broker, dcm);
-  } else if (config.controller.enabled()) {
-    controller = control::make_controller(engine, app, broker, config.controller);
+    controller = control::make_controller(engine, app, broker, spec);
   }
 
   std::unique_ptr<fault::FaultInjector> injector;
@@ -274,7 +260,7 @@ std::vector<SweepPoint> jmeter_concurrency_sweep(const ExperimentConfig& base,
     // Each sweep point is an independent run: decorrelate via the root
     // seed so no point shares streams with another.
     config.seed = derive_seed(base.seed, static_cast<uint64_t>(c));
-    config.controller = ControllerSpec::none();
+    config.controller = ControllerSpec{};
     if (match_app_pools) config.soft.app_threads = c;
     const ExperimentResult result = run_experiment(config);
     // Per-node server counts come from the materialized topology (for the

@@ -16,6 +16,8 @@ struct ServiceTimeParams {
   double beta = 0.0;   // quadratic crosstalk/coherency coefficient
 
   bool valid() const { return s0 > 0.0 && alpha >= 0.0 && beta >= 0.0; }
+
+  bool operator==(const ServiceTimeParams&) const = default;
 };
 
 /// Eq. 5 — total service time experienced by one request at concurrency n.
@@ -33,6 +35,8 @@ struct ConcurrencyModel {
   double gamma = 1.0;       // multi-server linearity correction (Eq. 4)
   int servers = 1;          // K_b
   double visit_ratio = 1.0;  // V_b (sub-requests per HTTP request)
+
+  bool operator==(const ConcurrencyModel&) const = default;
 
   /// Eq. 7 — predicted system throughput when each server of this tier runs
   /// at concurrency n.

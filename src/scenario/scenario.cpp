@@ -4,7 +4,6 @@
 #include <climits>
 #include <cmath>
 #include <iterator>
-#include <optional>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -21,6 +20,7 @@ namespace dcm::scenario {
 namespace {
 
 using Row = KeyRow<Scenario>;
+using Spec = control::ControllerSpec;
 using TopologyKind = core::TopologySpec::Kind;
 
 [[noreturn]] void fail(const std::string& message) {
@@ -39,38 +39,27 @@ std::string label(const Row& row) { return std::string("[") + row.section + "] "
 
 [[noreturn]] void malformed(const std::string& reason) { throw std::invalid_argument(reason); }
 
-// An "s0,alpha,beta" model-override triple; nullopt unless it is three
-// finite numbers with valid() Eq. 5 parameters.
-std::optional<model::ServiceTimeParams> parse_model_triple(const std::string& text) {
+// An "s0,alpha,beta" Eq. 5 triple: three finite numbers with valid()
+// parameters.
+model::ServiceTimeParams parse_model_triple(const std::string& text) {
   const std::vector<std::string> parts = split(text, ',');
-  if (parts.size() != 3) return std::nullopt;
-  double values[3];
-  for (size_t i = 0; i < 3; ++i) {
+  double values[3] = {};
+  bool ok = parts.size() == 3;
+  for (size_t i = 0; ok && i < 3; ++i) {
     const auto parsed = parse_double(parts[i]);
-    if (!parsed || !std::isfinite(*parsed)) return std::nullopt;
-    values[i] = *parsed;
+    ok = parsed && std::isfinite(*parsed);
+    if (ok) values[i] = *parsed;
   }
   const model::ServiceTimeParams params{values[0], values[1], values[2]};
-  if (!params.valid()) return std::nullopt;
+  if (!ok || !params.valid()) {
+    malformed("must be 's0,alpha,beta' with finite s0 > 0, alpha >= 0, beta >= 0, got " + text);
+  }
   return params;
 }
 
-// A stored (normalized) override; a programmatic scenario may hold anything.
-model::ServiceTimeParams model_override(const std::string& text) {
-  const auto params = parse_model_triple(text);
-  if (!params) fail("malformed model override '" + text + "'");
-  return *params;
-}
-
-// Validates a model-override triple and stores its canonical spelling, so
-// stored scenarios are normalization fixed points.
-void read_model_triple(std::string& field, const std::string& text) {
-  const auto params = parse_model_triple(text);
-  if (!params) {
-    malformed("must be 's0,alpha,beta' with finite s0 > 0, alpha >= 0, beta >= 0, got " + text);
-  }
-  field = format_double(params->s0) + "," + format_double(params->alpha) + "," +
-          format_double(params->beta);
+// The canonical spelling: each number in format_double's shortest form.
+std::string model_triple_text(const model::ServiceTimeParams& p) {
+  return format_double(p.s0) + "," + format_double(p.alpha) + "," + format_double(p.beta);
 }
 
 // "name:role".
@@ -151,17 +140,13 @@ std::string workload_kind_text(const Scenario& s) {
 }
 
 // "none" or a controller-registry name.
-bool known_controller_kind(const std::string& kind) {
-  return kind == "none" || control::has_controller(kind);
-}
-
 void read_controller_kind(Scenario& s, const std::string& text) {
-  if (!known_controller_kind(text)) {
+  if (text != "none" && !control::has_controller(text)) {
     std::string expected = "none";
     for (const auto& name : control::controller_names()) expected += "|" + name;
     malformed("must be " + expected + ", got '" + text + "'");
   }
-  s.controller.kind = text;
+  s.controller.name = text;
 }
 
 // Topology lists, canonical as "name:role, ..." and
@@ -213,13 +198,13 @@ workload::Trace resolve_trace(const std::string& name, int peak_users, uint64_t 
 
 // ---- Gates: when a row applies. Each reads only ungated rows.
 
-bool any_controller(const Scenario& s) { return s.controller.kind != "none"; }
-// The bool predictive trigger and the SLA trigger are ec2/dcm threshold-rule
-// extensions; the zoo kinds have their own trigger shapes.
+bool any_controller(const Scenario& s) { return s.controller.enabled(); }
+// The SLA trigger is an ec2/dcm threshold-rule extension; the zoo kinds have
+// their own trigger shapes.
 bool threshold_rule(const Scenario& s) {
-  return s.controller.kind == "ec2" || s.controller.kind == "dcm";
+  return s.controller.name == "ec2" || s.controller.name == "dcm";
 }
-bool dcm_only(const Scenario& s) { return s.controller.kind == "dcm"; }
+bool dcm_only(const Scenario& s) { return s.controller.name == "dcm"; }
 bool graph_only(const Scenario& s) { return s.topology.kind == TopologyKind::kGraph; }
 bool closed_loop(const Scenario& s) { return s.workload.kind != WorkloadDecl::Kind::kTrace; }
 bool has_think_time(const Scenario& s) { return s.workload.kind != WorkloadDecl::Kind::kJmeter; }
@@ -237,6 +222,37 @@ constexpr KeyDomain kNonNegative{.min = 0.0};
 constexpr KeyDomain kUnit{.min = 0.0, .max = 1.0};
 constexpr KeyDomain kSeconds{.min = 0.0, .max = 1e9};
 constexpr KeyDomain kPeriod{.min = 1e-9, .max = 1e9};
+
+// [controller] fields: the shared policy's and DcmConfig's.
+template <auto Field>
+FieldRef policy_field(Scenario& s) {
+  return &(s.controller.policy.*Field);
+}
+
+template <auto Field>
+FieldRef dcm_field(Scenario& s) {
+  return &(s.controller.dcm.*Field);
+}
+
+// DCM's Eq. 5 models: "s0,alpha,beta" rows over each model's params, left
+// out while they equal the default model.
+template <model::ConcurrencyModel control::DcmConfig::*Model>
+constexpr Row model_row(const char* name) {
+  return {
+      .section = "controller",
+      .name = name,
+      .applies = dcm_only,
+      .omitted = [](const Scenario& s) {
+        return (s.controller.dcm.*Model).params == (default_controller().dcm.*Model).params;
+      },
+      .parse = [](Scenario& s, const std::string& text) {
+        (s.controller.dcm.*Model).params = parse_model_triple(text);
+      },
+      .format = [](const Scenario& s) {
+        return model_triple_text((s.controller.dcm.*Model).params);
+      },
+  };
+}
 
 // The scenario vocabulary, one row per key. Ungated rows (applies ==
 // nullptr) include every kind and gate, and are read first.
@@ -297,46 +313,31 @@ constexpr Row kScenarioRows[] = {
     {.section = "controller",
      .name = "kind",
      .parse = read_controller_kind,
-     .format = [](const Scenario& s) { return s.controller.kind; }},
+     .format = [](const Scenario& s) { return s.controller.name; }},
     {"controller", "control_period",
-     field_of<&Scenario::controller, &ControllerDecl::control_period_seconds>, kPeriod,
+     policy_field<&control::ScalingPolicy::control_period_seconds>, kPeriod, any_controller},
+    {"controller", "scale_out_util", policy_field<&control::ScalingPolicy::scale_out_util>, kUnit,
      any_controller},
-    {"controller", "scale_out_util",
-     field_of<&Scenario::controller, &ControllerDecl::scale_out_util>, kUnit, any_controller},
-    {"controller", "scale_in_util",
-     field_of<&Scenario::controller, &ControllerDecl::scale_in_util>, kUnit, any_controller,
+    {"controller", "scale_in_util", policy_field<&control::ScalingPolicy::scale_in_util>, kUnit,
+     any_controller,
      [](const Scenario& s) -> const char* {
-       return s.controller.scale_in_util < s.controller.scale_out_util ? nullptr
-                                                                      : "in [0, scale_out_util)";
+       return s.controller.policy.scale_in_util < s.controller.policy.scale_out_util
+                  ? nullptr
+                  : "in [0, scale_out_util)";
      }},
     {"controller", "scale_in_consecutive",
-     field_of<&Scenario::controller, &ControllerDecl::scale_in_consecutive>, kAtLeastOne,
+     policy_field<&control::ScalingPolicy::scale_in_consecutive>, kAtLeastOne, any_controller},
+    {"controller", "hysteresis", policy_field<&control::ScalingPolicy::hysteresis>, kNonNegative,
      any_controller},
-    {"controller", "hysteresis", field_of<&Scenario::controller, &ControllerDecl::hysteresis>,
-     kNonNegative, any_controller},
-    {"controller", "predictive", field_of<&Scenario::controller, &ControllerDecl::predictive>, {},
-     threshold_rule},
-    {"controller", "sla_rt", field_of<&Scenario::controller, &ControllerDecl::sla_rt>,
+    {"controller", "sla_rt", policy_field<&control::ScalingPolicy::scale_out_response_time>,
      kNonNegative, threshold_rule},
     // The STP pool is headroom·N_b, never below the model optimum.
-    {"controller", "headroom", field_of<&Scenario::controller, &ControllerDecl::headroom>,
-     kAtLeastOne, dcm_only},
-    {"controller", "online_estimation",
-     field_of<&Scenario::controller, &ControllerDecl::online_estimation>, {}, dcm_only},
-    {.section = "controller",
-     .name = "app_model",
-     .applies = dcm_only,
-     .omitted = [](const Scenario& s) { return s.controller.app_model.empty(); },
-     .parse = [](Scenario& s,
-                 const std::string& text) { read_model_triple(s.controller.app_model, text); },
-     .format = [](const Scenario& s) { return s.controller.app_model; }},
-    {.section = "controller",
-     .name = "db_model",
-     .applies = dcm_only,
-     .omitted = [](const Scenario& s) { return s.controller.db_model.empty(); },
-     .parse = [](Scenario& s,
-                 const std::string& text) { read_model_triple(s.controller.db_model, text); },
-     .format = [](const Scenario& s) { return s.controller.db_model; }},
+    {"controller", "headroom", dcm_field<&control::DcmConfig::stp_headroom>, kAtLeastOne,
+     dcm_only},
+    {"controller", "online_estimation", dcm_field<&control::DcmConfig::online_estimation>, {},
+     dcm_only},
+    model_row<&control::DcmConfig::app_tier_model>("app_model"),
+    model_row<&control::DcmConfig::db_tier_model>("db_model"),
 
     {"faults", "crash_mttf", field_of<&Scenario::faults, &fault::FaultSpec::crash_mttf_seconds>,
      kSeconds},
@@ -423,12 +424,12 @@ void add_family(std::vector<Row>& rows, bool (*applies)(const Scenario&)) {
 const std::vector<Row>& rows() {
   static const std::vector<Row> kRows = [] {
     std::vector<Row> all(std::begin(kScenarioRows), std::end(kScenarioRows));
-    add_family<&ControllerDecl::holt, control::kPredictiveTuningKeys>(
-        all, [](const Scenario& s) { return s.controller.kind == "predictive"; });
-    add_family<&ControllerDecl::queueing, control::kQueueingTuningKeys>(
-        all, [](const Scenario& s) { return s.controller.kind == "queueing"; });
-    add_family<&ControllerDecl::pi, control::kPiTuningKeys>(
-        all, [](const Scenario& s) { return s.controller.kind == "pi"; });
+    add_family<&Spec::predictive, control::kPredictiveTuningKeys>(
+        all, [](const Scenario& s) { return s.controller.name == "predictive"; });
+    add_family<&Spec::queueing, control::kQueueingTuningKeys>(
+        all, [](const Scenario& s) { return s.controller.name == "queueing"; });
+    add_family<&Spec::pi, control::kPiTuningKeys>(
+        all, [](const Scenario& s) { return s.controller.name == "pi"; });
     return all;
   }();
   return kRows;
@@ -534,8 +535,8 @@ void reject_unknown_keys(const Config& config, const Scenario& s) {
     if (!known) fail("unknown section [" + section + "]");
     for (const auto& [key, value] : keys) {
       if (applicable_row(section, key, s) == nullptr) {
-        fail("unknown key '" + key + "' in [" + section + "] (workload kind " +
-             workload_kind_text(s) + ", controller kind " + s.controller.kind + ")");
+        fail("unknown key [" + section + "] " + key + " (workload kind " +
+             workload_kind_text(s) + ", controller kind " + s.controller.name + ")");
       }
     }
   }
@@ -588,9 +589,13 @@ Scenario Scenario::from_config(const Config& config) {
   if (scenario.topology.kind == TopologyKind::kGraph) {
     // Eager validation: building the ServiceGraph rejects duplicate names,
     // unknown roles/endpoints, cycles, unreachable nodes and oversized
-    // fan-outs here, at parse time.
-    core::build_service_graph(scenario.topology, scenario.hardware, scenario.soft,
-                              scenario.max_vms);
+    // fan-outs here, at parse time. The chains always hold DCM's pair.
+    const ntier::ServiceGraph graph = core::build_service_graph(
+        scenario.topology, scenario.hardware, scenario.soft, scenario.max_vms);
+    if (dcm_only(scenario) && !control::DcmController::managed_pair(graph)) {
+      fail("[controller] kind must be other than dcm when [topology] has no app node upstream "
+           "of a db node, got dcm");
+    }
   }
   return scenario;
 }
@@ -614,11 +619,22 @@ Config Scenario::to_config() const {
 
 std::string Scenario::to_text() const { return to_config().to_text(); }
 
+const control::ControllerSpec& default_controller() {
+  static const control::ControllerSpec kDefault = [] {
+    control::ControllerSpec spec;
+    spec.dcm.app_tier_model = core::tomcat_reference_model();
+    spec.dcm.db_tier_model = core::mysql_reference_model();
+    return spec;
+  }();
+  return kDefault;
+}
+
 core::ExperimentConfig Scenario::experiment() const {
   core::ExperimentConfig experiment;
   experiment.hardware = hardware;
   experiment.soft = soft;
   experiment.topology = topology;
+  experiment.controller = controller;
   experiment.faults = faults;
   experiment.resilience = resilience;
   experiment.trace = trace;
@@ -626,6 +642,9 @@ core::ExperimentConfig Scenario::experiment() const {
   experiment.warmup_seconds = warmup_seconds;
   experiment.max_vms_per_tier = max_vms;
   experiment.seed = seed;
+  if (controller.enabled() && !control::has_controller(controller.name)) {
+    fail("unknown controller kind '" + controller.name + "'");
+  }
 
   switch (workload.kind) {
     case WorkloadDecl::Kind::kJmeter:
@@ -642,36 +661,6 @@ core::ExperimentConfig Scenario::experiment() const {
       break;
   }
 
-  if (controller.kind == "none") return experiment;
-  if (!known_controller_kind(controller.kind)) {
-    fail("unknown controller kind '" + controller.kind + "'");
-  }
-  core::ControllerSpec& spec = experiment.controller;
-  spec.name = controller.kind;
-  spec.policy.control_period = sim::from_seconds(controller.control_period_seconds);
-  spec.policy.scale_out_util = controller.scale_out_util;
-  spec.policy.scale_in_util = controller.scale_in_util;
-  spec.policy.scale_in_consecutive = controller.scale_in_consecutive;
-  spec.policy.hysteresis = controller.hysteresis;
-  if (controller.kind == "ec2" || controller.kind == "dcm") {
-    spec.policy.predictive = controller.predictive;
-    spec.policy.scale_out_response_time = controller.sla_rt;
-  }
-  if (controller.kind == "dcm") {
-    spec.dcm.app_tier_model = core::tomcat_reference_model();
-    spec.dcm.db_tier_model = core::mysql_reference_model();
-    if (!controller.app_model.empty()) {
-      spec.dcm.app_tier_model.params = model_override(controller.app_model);
-    }
-    if (!controller.db_model.empty()) {
-      spec.dcm.db_tier_model.params = model_override(controller.db_model);
-    }
-    spec.dcm.stp_headroom = controller.headroom;
-    spec.dcm.online_estimation = controller.online_estimation;
-  }
-  spec.predictive = controller.holt;
-  spec.queueing = controller.queueing;
-  spec.pi = controller.pi;
   return experiment;
 }
 

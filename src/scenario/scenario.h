@@ -15,9 +15,9 @@
 // spelling. Parsing, the unknown-key check, `scenario_key_applies`, domain
 // checks, canonical emission and `apply_overrides` are loops over that
 // table; the zoo families' tuning rows (`control::k*TuningKeys`) join it
-// under [controller]. [faults], [resilience] and [trace] read and write
-// the runnable `fault::FaultSpec`, `core::ResilienceSpec` and
-// `trace::TraceSpec` directly.
+// under [controller]. [controller], [faults], [resilience] and [trace] read
+// and write the runnable `control::ControllerSpec`, `fault::FaultSpec`,
+// `core::ResilienceSpec` and `trace::TraceSpec` directly.
 //
 // Parsing is strict: unknown sections or keys (and keys that don't apply to
 // the declared kinds and gates) are errors, so a typo like `contorller`
@@ -51,39 +51,11 @@ struct WorkloadDecl {
   bool operator==(const WorkloadDecl&) const = default;
 };
 
-/// Declarative controller, keyed by registry name: `kind` is "none" or a
-/// `control::controller_names()` entry (ec2 and dcm are the paper's pair,
-/// predictive / queueing / pi the zoo additions). Every default comes from
-/// the control layer's config structs. The DCM kind may override the
-/// reference Eq. 5 parameters with explicit "s0,alpha,beta" triples (the
-/// wrong-models ablation, or a user-fitted system).
-struct ControllerDecl {
-  std::string kind = "none";
-  // Shared VM-level policy (any kind but none).
-  double control_period_seconds = sim::to_seconds(control::ScalingPolicy{}.control_period);
-  double scale_out_util = control::ScalingPolicy{}.scale_out_util;
-  double scale_in_util = control::ScalingPolicy{}.scale_in_util;
-  int scale_in_consecutive = control::ScalingPolicy{}.scale_in_consecutive;
-  /// Schmitt-trigger band half-width on both thresholds (0 = historical
-  /// strict comparisons).
-  double hysteresis = control::ScalingPolicy{}.hysteresis;
-  // ec2 / dcm only (the zoo kinds have their own trigger shapes):
-  bool predictive = control::ScalingPolicy{}.predictive;
-  double sla_rt = control::ScalingPolicy{}.scale_out_response_time;
-  // dcm only:
-  double headroom = control::DcmConfig{}.stp_headroom;
-  bool online_estimation = control::DcmConfig{}.online_estimation;
-  std::string app_model;  // "" = reference model
-  std::string db_model;   // "" = reference model
-  // Zoo tuning, one config per family; its keys are the family's
-  // `control::k*TuningKeys` rows. The configs' own `policy` members are
-  // unused: the fields above are the policy.
-  control::PredictiveConfig holt;
-  control::QueueingConfig queueing;
-  control::PiConfig pi;
-
-  bool operator==(const ControllerDecl&) const = default;
-};
+/// The scenario's controller defaults: the control layer's own, with DCM
+/// driven by the Table I reference models (core::tomcat_reference_model and
+/// core::mysql_reference_model), which `[controller] app_model` / `db_model`
+/// override with explicit "s0,alpha,beta" triples.
+const control::ControllerSpec& default_controller();
 
 struct Scenario {
   std::string name = "unnamed";
@@ -99,7 +71,12 @@ struct Scenario {
   /// topologies fail at parse time, not at run time.
   core::TopologySpec topology;
   WorkloadDecl workload;
-  ControllerDecl controller;
+  /// [controller]: the runnable spec itself. `kind` is "none" or a
+  /// `control::controller_names()` entry (ec2 and dcm are the paper's pair,
+  /// predictive / queueing / pi the zoo additions); each key reads and
+  /// writes one field of the shared policy, of DcmConfig, or of the named
+  /// zoo family's config.
+  control::ControllerSpec controller = default_controller();
   /// [faults]: fault schedule rates. All-zero MTTFs (the default) mean a
   /// healthy run; the concrete schedule derives from the root seed, so it
   /// is never spelled out in the scenario.
@@ -134,9 +111,9 @@ struct Scenario {
   std::string to_text() const;
 
   /// Runnable translation: resolves the trace (taxonomy name or CSV path,
-  /// synthesized from the kTrace stream of the root seed) and DCM's
-  /// reference models with any Eq. 5 overrides. Throws std::runtime_error on
-  /// an unresolvable trace or an unknown controller kind.
+  /// synthesized from the kTrace stream of the root seed); every other
+  /// section is copied as is. Throws std::runtime_error on an unresolvable
+  /// trace.
   core::ExperimentConfig experiment() const;
 };
 

@@ -51,11 +51,12 @@ ClosedLoopGenerator::ClosedLoopGenerator(sim::Engine& engine, ntier::NTierApp& a
     : engine_(&engine),
       app_(&app),
       factory_(std::move(factory)),
-      think_time_(std::move(config.think_time)),
+      mean_think_seconds_(config.mean_think_seconds),
       start_stagger_(config.start_stagger),
       rng_(config.seed),
       target_users_(config.users) {
   DCM_CHECK(config.users >= 0);
+  DCM_CHECK(mean_think_seconds_ >= 0.0);
   DCM_CHECK(start_stagger_ >= 0);
   DCM_CHECK(factory_ != nullptr);
 }
@@ -185,7 +186,7 @@ void ClosedLoopGenerator::on_attempt_failed(AttemptHandle h) {
 void ClosedLoopGenerator::finish_cycle(int user_index) {
   // Always reschedule through the engine — a zero think time must not
   // recurse synchronously.
-  const double think = think_time_ ? think_time_->sample(rng_) : 0.0;
+  const double think = mean_think_seconds_ > 0.0 ? rng_.exponential(mean_think_seconds_) : 0.0;
   engine_->schedule_after(sim::from_seconds(think),
                           [this, user_index, think] { user_cycle(user_index, think); });
 }
@@ -195,7 +196,6 @@ std::unique_ptr<ClosedLoopGenerator> make_jmeter(sim::Engine& engine, ntier::NTi
                                                  uint64_t seed) {
   ClosedLoopConfig config;
   config.users = users;
-  config.think_time = nullptr;
   config.seed = seed;
   return std::make_unique<ClosedLoopGenerator>(
       engine, app, graph_request_factory(catalog, app.graph()), std::move(config));
@@ -208,7 +208,7 @@ std::unique_ptr<ClosedLoopGenerator> make_rubbos_clients(sim::Engine& engine,
                                                          uint64_t seed) {
   ClosedLoopConfig config;
   config.users = users;
-  config.think_time = sim::make_exponential(mean_think_seconds);
+  config.mean_think_seconds = mean_think_seconds;
   config.seed = seed;
   return std::make_unique<ClosedLoopGenerator>(
       engine, app, graph_request_factory(catalog, app.graph()), std::move(config));

@@ -26,9 +26,9 @@
 #include <functional>
 #include <memory>
 
+#include "common/rng.h"
 #include "ntier/app.h"
 #include "ntier/server.h"
-#include "sim/distributions.h"
 #include "sim/slab.h"
 #include "workload/client_stats.h"
 #include "workload/servlet.h"
@@ -58,8 +58,9 @@ RequestFactory graph_request_factory(const ServletCatalog& catalog,
 
 struct ClosedLoopConfig {
   int users = 1;
-  /// Think time between a user's consecutive requests; nullptr = zero.
-  std::unique_ptr<sim::Distribution> think_time;
+  /// Mean of the exponential think time between a user's consecutive
+  /// requests, in seconds; 0 = no think time.
+  double mean_think_seconds = 0.0;
   /// New users start staggered uniformly over this span (avoids an
   /// artificial synchronised burst when ramping).
   sim::SimTime start_stagger = sim::kNanosPerSecond;
@@ -126,7 +127,7 @@ class ClosedLoopGenerator {
   sim::Engine* engine_;
   ntier::NTierApp* app_;
   RequestFactory factory_;
-  std::unique_ptr<sim::Distribution> think_time_;
+  double mean_think_seconds_;
   sim::SimTime start_stagger_;
   Rng rng_;
   ntier::RetryPolicy retry_;

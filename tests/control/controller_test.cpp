@@ -198,7 +198,7 @@ class DcmControllerTest : public ControllerTest {
 };
 
 TEST_F(DcmControllerTest, DeploysOptimaAtStartup) {
-  DcmController controller(engine_, app_, broker_, dcm_config());
+  DcmController controller(engine_, app_, broker_, {}, dcm_config());
   EXPECT_EQ(app_.tier(1).current_thread_pool_size(), controller.app_tier_nb());
   EXPECT_EQ(app_.tier(1).current_downstream_connections(), controller.db_tier_nb());
   EXPECT_NEAR(controller.app_tier_nb(), 20, 1);
@@ -208,13 +208,13 @@ TEST_F(DcmControllerTest, DeploysOptimaAtStartup) {
 TEST_F(DcmControllerTest, HeadroomScalesThreadPool) {
   DcmConfig config = dcm_config();
   config.stp_headroom = 2.0;
-  DcmController controller(engine_, app_, broker_, config);
+  DcmController controller(engine_, app_, broker_, {}, config);
   EXPECT_NEAR(controller.app_tier_nb(), 40, 2);
   EXPECT_EQ(app_.tier(1).current_thread_pool_size(), controller.app_tier_nb());
 }
 
 TEST_F(DcmControllerTest, ConnectionsSplitAcrossAppServers) {
-  DcmController controller(engine_, app_, broker_, dcm_config());
+  DcmController controller(engine_, app_, broker_, {}, dcm_config());
   controller.start();
   // Scale the app tier to 2; once active, per-server conns halve.
   app_.tier(1).scale_out();
@@ -224,7 +224,7 @@ TEST_F(DcmControllerTest, ConnectionsSplitAcrossAppServers) {
 }
 
 TEST_F(DcmControllerTest, ConnectionsGrowWithDbServers) {
-  DcmController controller(engine_, app_, broker_, dcm_config());
+  DcmController controller(engine_, app_, broker_, {}, dcm_config());
   controller.start();
   app_.tier(2).scale_out();
   engine_.run_until(sim::from_seconds(16.0));
@@ -232,7 +232,7 @@ TEST_F(DcmControllerTest, ConnectionsGrowWithDbServers) {
 }
 
 TEST_F(DcmControllerTest, HardwareRuleStillApplies) {
-  DcmController controller(engine_, app_, broker_, dcm_config());
+  DcmController controller(engine_, app_, broker_, {}, dcm_config());
   controller.start();
   emit_period(15.0, 0.95, 0.50);
   engine_.run_until(sim::from_seconds(16.0));

@@ -54,7 +54,7 @@ TEST_F(DcmOnlineRefitTest, DbAllocationConvergesToObservedCurve) {
   config.estimator.min_bins = 6;
   config.estimator.min_spread = 3.0;
   config.estimator.min_samples_per_bin = 1;
-  DcmController controller(engine_, app_, broker_, config);
+  DcmController controller(engine_, app_, broker_, {}, config);
   controller.start();
 
   ASSERT_EQ(controller.db_tier_nb(), 36);  // seeded value deployed first
@@ -79,7 +79,7 @@ TEST_F(DcmOnlineRefitTest, RefitDisabledKeepsSeededModels) {
   config.app_tier_model = core::tomcat_reference_model();
   config.db_tier_model = core::mysql_reference_model();
   config.online_estimation = false;
-  DcmController controller(engine_, app_, broker_, config);
+  DcmController controller(engine_, app_, broker_, {}, config);
   controller.start();
 
   const model::ServiceTimeParams truth{7.19e-3, 1.0e-3, 4.3e-5};
@@ -99,7 +99,7 @@ TEST_F(DcmOnlineRefitTest, GarbageSamplesDoNotCorruptModels) {
   config.db_tier_model = core::mysql_reference_model();
   config.online_estimation = true;
   config.estimator.min_r_squared = 0.90;
-  DcmController controller(engine_, app_, broker_, config);
+  DcmController controller(engine_, app_, broker_, {}, config);
   controller.start();
 
   // Wide-spread noise: the estimator's R² gate must reject the fit.

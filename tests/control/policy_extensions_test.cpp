@@ -1,4 +1,4 @@
-// SLA-driven and predictive scale-out policy extensions.
+// The SLA-driven scale-out policy extension.
 #include <gtest/gtest.h>
 
 #include "bus/producer.h"
@@ -68,21 +68,6 @@ TEST_F(PolicyExtensionsTest, SlaWithinBoundDoesNotTrigger) {
   EXPECT_EQ(app_.tier(1).provisioned_vm_count(), 1);
 }
 
-TEST_F(PolicyExtensionsTest, PredictiveScalesOnRisingTrendBeforeThreshold) {
-  ScalingPolicy policy;
-  policy.predictive = true;
-  Ec2AutoScaleController controller(engine_, app_, broker_, policy);
-  controller.start();
-  // 0.45 → 0.70: projection 0.95 > 0.80 even though 0.70 is below it.
-  // (Emit each period before its tick — the consumer drains everything
-  // available at tick time.)
-  emit_period(15.0, 0.45);
-  engine_.run_until(sim::from_seconds(16.0));
-  emit_period(30.0, 0.70);
-  engine_.run_until(sim::from_seconds(31.0));
-  EXPECT_EQ(app_.tier(1).provisioned_vm_count(), 2);
-}
-
 TEST_F(PolicyExtensionsTest, ReactiveWouldNotHaveScaledYet) {
   Ec2AutoScaleController controller(engine_, app_, broker_, {});
   controller.start();
@@ -91,59 +76,6 @@ TEST_F(PolicyExtensionsTest, ReactiveWouldNotHaveScaledYet) {
   emit_period(30.0, 0.70);
   engine_.run_until(sim::from_seconds(31.0));
   EXPECT_EQ(app_.tier(1).provisioned_vm_count(), 1);
-}
-
-TEST_F(PolicyExtensionsTest, PredictiveIgnoresFallingTrend) {
-  ScalingPolicy policy;
-  policy.predictive = true;
-  Ec2AutoScaleController controller(engine_, app_, broker_, policy);
-  controller.start();
-  emit_period(15.0, 0.75);
-  engine_.run_until(sim::from_seconds(16.0));
-  emit_period(30.0, 0.60);  // falling: projection 0.45
-  engine_.run_until(sim::from_seconds(31.0));
-  EXPECT_EQ(app_.tier(1).provisioned_vm_count(), 1);
-}
-
-TEST_F(PolicyExtensionsTest, PredictiveFirstPeriodHasNoTrend) {
-  ScalingPolicy policy;
-  policy.predictive = true;
-  Ec2AutoScaleController controller(engine_, app_, broker_, policy);
-  controller.start();
-  emit_period(15.0, 0.75);  // no previous observation → reactive only
-  engine_.run_until(sim::from_seconds(16.0));
-  EXPECT_EQ(app_.tier(1).provisioned_vm_count(), 1);
-}
-
-TEST_F(PolicyExtensionsTest, PredictiveDiscardsPriorAcrossTelemetryGap) {
-  ScalingPolicy policy;
-  policy.predictive = true;
-  Ec2AutoScaleController controller(engine_, app_, broker_, policy);
-  controller.start();
-  emit_period(15.0, 0.45);
-  engine_.run_until(sim::from_seconds(16.0));
-  // One silent period: no samples reach the controller at the 30 s tick.
-  engine_.run_until(sim::from_seconds(31.0));
-  emit_period(45.0, 0.70);
-  engine_.run_until(sim::from_seconds(46.0));
-  // Extrapolating 0.45 → 0.70 as if adjacent would project 0.95 and scale
-  // out; the gap must instead reset the prior, making 0.70 a first
-  // observation (reactive only).
-  EXPECT_EQ(app_.tier(1).provisioned_vm_count(), 1);
-  // The trend resumes from the post-gap baseline: 0.70 → 0.78 projects 0.86.
-  emit_period(60.0, 0.78);
-  engine_.run_until(sim::from_seconds(61.0));
-  EXPECT_EQ(app_.tier(1).provisioned_vm_count(), 2);
-}
-
-TEST_F(PolicyExtensionsTest, PredictiveStillUsesReactiveSignal) {
-  ScalingPolicy policy;
-  policy.predictive = true;
-  Ec2AutoScaleController controller(engine_, app_, broker_, policy);
-  controller.start();
-  emit_period(15.0, 0.95);  // plain threshold breach, first period
-  engine_.run_until(sim::from_seconds(16.0));
-  EXPECT_EQ(app_.tier(1).provisioned_vm_count(), 2);
 }
 
 }  // namespace

@@ -52,7 +52,7 @@ class WatchdogTest : public ::testing::Test {
 TEST_F(WatchdogTest, ConsecutiveSilentPeriodsFreezeSoftActuation) {
   DcmConfig config = base_config();
   config.watchdog_periods = 2;
-  DcmController controller(engine_, app_, broker_, config);
+  DcmController controller(engine_, app_, broker_, {}, config);
   controller.start();
   EXPECT_FALSE(controller.actuation_frozen());
 
@@ -67,7 +67,7 @@ TEST_F(WatchdogTest, ConsecutiveSilentPeriodsFreezeSoftActuation) {
 TEST_F(WatchdogTest, FreshTelemetryResumesActuation) {
   DcmConfig config = base_config();
   config.watchdog_periods = 2;
-  DcmController controller(engine_, app_, broker_, config);
+  DcmController controller(engine_, app_, broker_, {}, config);
   controller.start();
   engine_.run_until(sim::from_seconds(31.0));
   ASSERT_TRUE(controller.actuation_frozen());
@@ -82,7 +82,7 @@ TEST_F(WatchdogTest, FreshTelemetryResumesActuation) {
 TEST_F(WatchdogTest, FreezeAndResumeToggleRepeatedly) {
   DcmConfig config = base_config();
   config.watchdog_periods = 2;
-  DcmController controller(engine_, app_, broker_, config);
+  DcmController controller(engine_, app_, broker_, {}, config);
   controller.start();
 
   engine_.run_until(sim::from_seconds(31.0));
@@ -98,7 +98,7 @@ TEST_F(WatchdogTest, FreezeAndResumeToggleRepeatedly) {
 
 TEST_F(WatchdogTest, WatchdogDisabledNeverFreezes) {
   DcmConfig config = base_config();  // watchdog_periods = 0
-  DcmController controller(engine_, app_, broker_, config);
+  DcmController controller(engine_, app_, broker_, {}, config);
   controller.start();
   engine_.run_until(sim::from_seconds(100.0));
   EXPECT_FALSE(controller.actuation_frozen());
@@ -115,7 +115,7 @@ TEST_F(WatchdogTest, LowRSquaredFitIsRejectedAndFreezes) {
   // Let the estimator hand every converged fit to the controller: the
   // controller-level R² gate (not the estimator's own floor) is under test.
   config.estimator.min_r_squared = 0.0;
-  DcmController controller(engine_, app_, broker_, config);
+  DcmController controller(engine_, app_, broker_, {}, config);
   controller.start();
   ASSERT_EQ(controller.db_tier_nb(), 36);  // seeded optimum deployed
 

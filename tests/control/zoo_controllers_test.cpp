@@ -91,7 +91,7 @@ TEST_F(RegistryConstructTest, UnknownNameThrows) {
   ControllerSpec spec;
   spec.name = "pid";
   EXPECT_THROW(make_controller(engine_, app_, broker_, spec), std::invalid_argument);
-  EXPECT_THROW(make_controller(engine_, app_, broker_, ControllerSpec::none()),
+  EXPECT_THROW(make_controller(engine_, app_, broker_, ControllerSpec{}),
                std::invalid_argument);
 }
 
@@ -117,7 +117,7 @@ class PredictiveTest : public ZooTest {
 };
 
 TEST_F(PredictiveTest, RampScalesOutBeforeRawUtilizationCrosses) {
-  PredictiveController controller(engine_, app_, broker_, ramp_config());
+  PredictiveController controller(engine_, app_, broker_, {}, ramp_config());
   controller.start();
   // Rising ramp that never reaches the 0.8 trigger: the forecast must.
   step(15.0, 0.40);
@@ -130,7 +130,7 @@ TEST_F(PredictiveTest, RampScalesOutBeforeRawUtilizationCrosses) {
 }
 
 TEST_F(PredictiveTest, FirstPeriodIsReactiveNotBlind) {
-  PredictiveController controller(engine_, app_, broker_, ramp_config());
+  PredictiveController controller(engine_, app_, broker_, {}, ramp_config());
   controller.start();
   // No history at all: a live breach in the very first period still acts,
   // because the seeded forecast equals the observation.
@@ -139,7 +139,7 @@ TEST_F(PredictiveTest, FirstPeriodIsReactiveNotBlind) {
 }
 
 TEST_F(PredictiveTest, FirstPeriodDoesNotExtrapolateAPhantomTrend) {
-  PredictiveController controller(engine_, app_, broker_, ramp_config());
+  PredictiveController controller(engine_, app_, broker_, {}, ramp_config());
   controller.start();
   // A calm first observation must seed (level = u, trend = 0): no forecast
   // excursion, no action.
@@ -149,7 +149,7 @@ TEST_F(PredictiveTest, FirstPeriodDoesNotExtrapolateAPhantomTrend) {
 }
 
 TEST_F(PredictiveTest, TelemetryGapDiscardsTheTrend) {
-  PredictiveController controller(engine_, app_, broker_, ramp_config());
+  PredictiveController controller(engine_, app_, broker_, {}, ramp_config());
   controller.start();
   step(15.0, 0.40);
   step(30.0, 0.60);  // trend is now rising
@@ -161,12 +161,36 @@ TEST_F(PredictiveTest, TelemetryGapDiscardsTheTrend) {
   EXPECT_EQ(app_.tier(1).provisioned_vm_count(), 1);
 }
 
+// Holt at alpha = beta = horizon = 1 is the one-step linear extrapolation
+// u_t + (u_t - u_{t-1}), the scale-out signal of the threshold rule's former
+// predictive flag.
+class ZooControllersTest : public ZooTest {};
+
+TEST_F(ZooControllersTest, HoltAtUnitGainsForecastsTheLinearTrend) {
+  PredictiveConfig config;
+  config.level_alpha = 1.0;
+  config.trend_beta = 1.0;
+  config.horizon_periods = 1;
+  PredictiveController controller(engine_, app_, broker_, {}, config);
+  controller.start();
+  step(15.0, 0.45);
+  EXPECT_NEAR(controller.forecast(1), 0.45, 1e-12) << "the first period has no trend";
+  EXPECT_EQ(app_.tier(1).provisioned_vm_count(), 1);
+  step(30.0, 0.60);
+  EXPECT_NEAR(controller.forecast(1), 0.60 + (0.60 - 0.45), 1e-12);
+  EXPECT_EQ(app_.tier(1).provisioned_vm_count(), 1);
+  step(45.0, 0.72);
+  // 0.72 is below the 0.8 trigger; its projection 0.84 is not.
+  EXPECT_NEAR(controller.forecast(1), 0.72 + (0.72 - 0.60), 1e-12);
+  EXPECT_EQ(app_.tier(1).provisioned_vm_count(), 2);
+}
+
 // --- queueing ---
 
 class QueueingTest : public ZooTest {};
 
 TEST_F(QueueingTest, UtilizationLawInversionScalesOut) {
-  QueueingController controller(engine_, app_, broker_, QueueingConfig{});
+  QueueingController controller(engine_, app_, broker_, {}, QueueingConfig{});
   controller.start();
   // One server at 0.9 busy-servers of demand against rho* = 0.6:
   // k* = ceil(0.9 / 0.6) = 2.
@@ -176,7 +200,7 @@ TEST_F(QueueingTest, UtilizationLawInversionScalesOut) {
 }
 
 TEST_F(QueueingTest, AtTargetHoldsStill) {
-  QueueingController controller(engine_, app_, broker_, QueueingConfig{});
+  QueueingController controller(engine_, app_, broker_, {}, QueueingConfig{});
   controller.start();
   // Demand 0.5 against rho* = 0.6 inverts to k* = 1 = current fleet.
   step(15.0, 0.50);
@@ -187,7 +211,7 @@ TEST_F(QueueingTest, AtTargetHoldsStill) {
 
 TEST_F(QueueingTest, SurplusMustPersistForTheScaleInStreak) {
   ASSERT_TRUE(app_.tier(1).scale_out());
-  QueueingController controller(engine_, app_, broker_, QueueingConfig{});
+  QueueingController controller(engine_, app_, broker_, {}, QueueingConfig{});
   controller.start();
   engine_.run_until(sim::from_seconds(16.0));
   ASSERT_EQ(app_.tier(1).active_vm_count(), 2);
@@ -204,7 +228,7 @@ TEST_F(QueueingTest, SurplusMustPersistForTheScaleInStreak) {
 class PiTest : public ZooTest {};
 
 TEST_F(PiTest, ProportionalTermActsOnALargeErrorImmediately) {
-  PiController controller(engine_, app_, broker_, PiConfig{});
+  PiController controller(engine_, app_, broker_, {}, PiConfig{});
   controller.start();
   // e = 0.35 -> delta = 2*0.35 + 0.5*0.35 = 0.875 > deadband 0.5.
   step(15.0, 0.95);
@@ -214,7 +238,7 @@ TEST_F(PiTest, ProportionalTermActsOnALargeErrorImmediately) {
 }
 
 TEST_F(PiTest, IntegralTermRemovesSteadyStateOffset) {
-  PiController controller(engine_, app_, broker_, PiConfig{});
+  PiController controller(engine_, app_, broker_, {}, PiConfig{});
   controller.start();
   // e = 0.12: the proportional term alone (0.24) never clears the deadband,
   // but the integral winds up 0.12 per period; at period 5 the PI signal
@@ -228,14 +252,14 @@ TEST_F(PiTest, IntegralTermRemovesSteadyStateOffset) {
 TEST_F(PiTest, PurePTolerantOfTheSameOffsetForever) {
   PiConfig config;
   config.ki = 0.0;
-  PiController controller(engine_, app_, broker_, config);
+  PiController controller(engine_, app_, broker_, {}, config);
   controller.start();
   for (int period = 1; period <= 10; ++period) step(15.0 * period, 0.72);
   EXPECT_EQ(app_.tier(1).provisioned_vm_count(), 1);
 }
 
 TEST_F(PiTest, DeadbandHoldsSmallErrors) {
-  PiController controller(engine_, app_, broker_, PiConfig{});
+  PiController controller(engine_, app_, broker_, {}, PiConfig{});
   controller.start();
   // e = 0.05 -> delta well inside the deadband; integral accumulates quietly.
   step(15.0, 0.65);
@@ -250,7 +274,7 @@ class PiSaturationTest : public ZooTest {
 };
 
 TEST_F(PiSaturationTest, ConditionalIntegrationFreezesAgainstASaturatedActuator) {
-  PiController controller(engine_, app_, broker_, PiConfig{});
+  PiController controller(engine_, app_, broker_, {}, PiConfig{});
   controller.start();
   // The tier is already at max_vms = 1, so every scale-out request is
   // refused. Without conditional integration the error 0.35/period would

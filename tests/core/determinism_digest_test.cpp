@@ -27,7 +27,7 @@ uint64_t run_digest(uint64_t seed) {
   config.hardware = {1, 1, 1};
   config.soft = {1000, 100, 80};
   config.workload = WorkloadSpec::rubbos(250, /*think_s=*/1.0);
-  config.controller = ControllerSpec::ec2();
+  config.controller = ControllerSpec{.name = "ec2"};
   config.duration_seconds = 45.0;
   config.warmup_seconds = 10.0;
   config.seed = seed;

@@ -7,7 +7,7 @@
 namespace dcm::core {
 namespace {
 
-ExperimentResult small_run(ControllerSpec controller = ControllerSpec::none(),
+ExperimentResult small_run(ControllerSpec controller = ControllerSpec{},
                            int users = 150) {
   ExperimentConfig config;
   config.hardware = {1, 1, 1};
@@ -51,16 +51,16 @@ TEST(ExperimentRunnerTest, VmSecondsMatchStaticTopology) {
 }
 
 TEST(ExperimentRunnerTest, SlaFractionBoundsAndMeaning) {
-  const auto light = small_run(ControllerSpec::none(), 60);
+  const auto light = small_run(ControllerSpec{}, 60);
   EXPECT_DOUBLE_EQ(light.sla_violation_fraction, 0.0);  // ~60 ms responses
 
-  const auto heavy = small_run(ControllerSpec::none(), 700);
+  const auto heavy = small_run(ControllerSpec{}, 700);
   EXPECT_GT(heavy.sla_violation_fraction, 0.5);  // deeply saturated
   EXPECT_LE(heavy.sla_violation_fraction, 1.0);
 }
 
 TEST(ExperimentRunnerTest, UtilTimelineSaturatesUnderOverload) {
-  const auto result = small_run(ControllerSpec::none(), 500);
+  const auto result = small_run(ControllerSpec{}, 500);
   metrics::Welford tomcat_util;
   for (const auto& bucket : result.tiers[1].cpu_util.buckets()) {
     if (bucket.start < sim::from_seconds(30.0)) continue;
@@ -88,7 +88,7 @@ TEST(ExperimentRunnerTest, SweepMeasuresMatchingConcurrency) {
 }
 
 TEST(ExperimentRunnerTest, ActionCountFiltersByTier) {
-  const auto result = small_run(ControllerSpec::ec2(), 500);
+  const auto result = small_run(ControllerSpec{.name = "ec2"}, 500);
   const int total = result.action_count("scale_out");
   const int tomcat = result.action_count("scale_out", "tomcat");
   const int mysql = result.action_count("scale_out", "mysql");

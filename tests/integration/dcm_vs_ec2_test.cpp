@@ -28,13 +28,13 @@ ControllerSpec dcm_spec() {
   control::DcmConfig dcm;
   dcm.app_tier_model = tomcat_reference_model();
   dcm.db_tier_model = mysql_reference_model();
-  return ControllerSpec::dcm_controller(dcm);
+  return ControllerSpec{.name = "dcm", .dcm = dcm};
 }
 
 class DcmVsEc2Test : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
-    ec2_ = new ExperimentResult(run_with(ControllerSpec::ec2()));
+    ec2_ = new ExperimentResult(run_with(ControllerSpec{.name = "ec2"}));
     dcm_ = new ExperimentResult(run_with(dcm_spec()));
   }
   static void TearDownTestSuite() {

@@ -74,9 +74,12 @@ TEST(FourTierTest, DcmControlsTheDbTierThroughTheLb) {
   control::DcmConfig dcm;
   dcm.app_tier_model = core::tomcat_reference_model();
   dcm.db_tier_model = core::mysql_reference_model();
-  dcm.app_tier = 1;
-  dcm.db_tier = 3;  // mysql sits behind the LB tier
-  control::DcmController controller(engine, app, broker, dcm);
+  // mysql sits behind the LB tier: the roles, not the depths, name the pair.
+  const auto pair = control::DcmController::managed_pair(app.graph());
+  ASSERT_TRUE(pair.has_value());
+  EXPECT_EQ(pair->first, 1u);
+  EXPECT_EQ(pair->second, 3u);
+  control::DcmController controller(engine, app, broker, {}, dcm);
   controller.start();
 
   // The APP-agent deployed the optima at construction.

@@ -58,9 +58,8 @@ TEST(GraphTopologyTest, DiamondBottleneckRankingAgreesWithEdgeAttribution) {
   control::DcmConfig dcm;
   dcm.app_tier_model = core::tomcat_reference_model();
   dcm.db_tier_model = core::mysql_reference_model();
-  dcm.app_tier = 1;  // tomcat
-  dcm.db_tier = 3;   // mysql (what experiment.cpp derives from the roles)
-  control::DcmController controller(engine, app, broker, dcm);
+  // DCM manages tomcat (node 1) and mysql (node 3), derived from the roles.
+  control::DcmController controller(engine, app, broker, {}, dcm);
 
   // The static ranking of the deployed allocation, before the controller
   // acts on it: mysql (node 3) has the smallest capacity.

@@ -23,7 +23,7 @@ ExperimentConfig base_config() {
 TEST(ScalingTest, Ec2ScalesOutUnderSustainedOverload) {
   ExperimentConfig config = base_config();
   config.workload = WorkloadSpec::rubbos(400);
-  config.controller = ControllerSpec::ec2();
+  config.controller = ControllerSpec{.name = "ec2"};
   const auto result = run_experiment(config);
   EXPECT_GE(result.action_count("scale_out"), 1);
   // The Tomcat tier is the 1/1/1 bottleneck, so it must be the first to grow.
@@ -33,7 +33,7 @@ TEST(ScalingTest, Ec2ScalesOutUnderSustainedOverload) {
 TEST(ScalingTest, NoScalingActionsUnderLightLoad) {
   ExperimentConfig config = base_config();
   config.workload = WorkloadSpec::rubbos(40);
-  config.controller = ControllerSpec::ec2();
+  config.controller = ControllerSpec{.name = "ec2"};
   const auto result = run_experiment(config);
   EXPECT_EQ(result.action_count("scale_out"), 0);
   // Already at min_vms=1 per tier: no scale-in either.
@@ -52,7 +52,7 @@ TEST(ScalingTest, ScaleInAfterLoadDrops) {
   ExperimentConfig config = base_config();
   config.duration_seconds = 400.0;
   config.workload = WorkloadSpec::trace_driven(trace);
-  config.controller = ControllerSpec::ec2();
+  config.controller = ControllerSpec{.name = "ec2"};
   const auto result = run_experiment(config);
   EXPECT_GE(result.action_count("scale_out"), 1);
   EXPECT_GE(result.action_count("scale_in"), 1);
@@ -68,7 +68,7 @@ TEST(ScalingTest, ScaleInAfterLoadDrops) {
 TEST(ScalingTest, VmCountTimelineReflectsBootDelay) {
   ExperimentConfig config = base_config();
   config.workload = WorkloadSpec::rubbos(400);
-  config.controller = ControllerSpec::ec2();
+  config.controller = ControllerSpec{.name = "ec2"};
   const auto result = run_experiment(config);
 
   // Find the first scale-out and check the provisioned count stepped up.
@@ -96,7 +96,7 @@ TEST(ScalingTest, DcmReallocatesPoolsOnScaleOut) {
   dcm.db_tier_model = mysql_reference_model();
   ExperimentConfig config = base_config();
   config.workload = WorkloadSpec::rubbos(500);
-  config.controller = ControllerSpec::dcm_controller(dcm);
+  config.controller = ControllerSpec{.name = "dcm", .dcm = dcm};
   const auto result = run_experiment(config);
 
   // DCM immediately shrinks the Tomcat pool to ~N_b(=20) and must adjust the
@@ -114,7 +114,7 @@ TEST(ScalingTest, DcmKeepsTotalDbConcurrencyNearModelOptimum) {
 
   ExperimentConfig config = base_config();
   config.workload = WorkloadSpec::rubbos(500);
-  config.controller = ControllerSpec::dcm_controller(dcm);
+  config.controller = ControllerSpec{.name = "dcm", .dcm = dcm};
   const auto result = run_experiment(config);
 
   // Every connection-pool action must keep K_app · conns within one

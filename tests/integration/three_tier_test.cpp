@@ -20,7 +20,7 @@ double saturated_throughput(HardwareConfig hw, SoftAllocation soft, int users,
   config.hardware = hw;
   config.soft = soft;
   config.workload = WorkloadSpec::rubbos(users);
-  config.controller = ControllerSpec::none();
+  config.controller = ControllerSpec{};
   config.duration_seconds = seconds;
   config.warmup_seconds = 40.0;
   return run_experiment(config).mean_throughput;
@@ -63,7 +63,7 @@ TEST(ThreeTierTest, ResponseTimeGrowsWithClosedLoopOverload) {
   ExperimentConfig config;
   config.hardware = {1, 1, 1};
   config.soft = {1000, 100, 80};
-  config.controller = ControllerSpec::none();
+  config.controller = ControllerSpec{};
   config.duration_seconds = 120.0;
   config.warmup_seconds = 40.0;
 
@@ -79,7 +79,7 @@ TEST(ThreeTierTest, NoRequestsAreLostInNormalOperation) {
   config.hardware = {1, 1, 1};
   config.soft = {1000, 100, 80};
   config.workload = WorkloadSpec::rubbos(200);
-  config.controller = ControllerSpec::none();
+  config.controller = ControllerSpec{};
   config.duration_seconds = 60.0;
   config.warmup_seconds = 10.0;
   const auto result = run_experiment(config);

@@ -36,16 +36,16 @@ RunDigest run_digest(uint64_t seed, Controlled controller_kind) {
   config.workload = WorkloadSpec::trace_driven(workload::Trace::large_variation(seed), 3.0);
   switch (controller_kind) {
     case Controlled::kNone:
-      config.controller = ControllerSpec::none();
+      config.controller = ControllerSpec{};
       break;
     case Controlled::kEc2:
-      config.controller = ControllerSpec::ec2();
+      config.controller = ControllerSpec{.name = "ec2"};
       break;
     case Controlled::kDcm: {
       control::DcmConfig dcm;
       dcm.app_tier_model = tomcat_reference_model();
       dcm.db_tier_model = mysql_reference_model();
-      config.controller = ControllerSpec::dcm_controller(dcm);
+      config.controller = ControllerSpec{.name = "dcm", .dcm = dcm};
       break;
     }
   }

@@ -21,7 +21,7 @@ TEST_P(QueueingLawsTest, InteractiveResponseTimeLawHolds) {
   config.hardware = {1, 1, 1};
   config.soft = {1000, 100, 80};
   config.workload = WorkloadSpec::rubbos(users, 3.0);
-  config.controller = ControllerSpec::none();
+  config.controller = ControllerSpec{};
   config.duration_seconds = 150.0;
   config.warmup_seconds = 50.0;
   const auto result = run_experiment(config);

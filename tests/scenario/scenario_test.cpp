@@ -30,7 +30,7 @@ TEST(ScenarioTest, CanonicalTextIsPinnedAcrossKindsAndGates) {
       }
     }
   }
-  EXPECT_EQ(h.value(), 11592566049223027230ull);
+  EXPECT_EQ(h.value(), 14576085693146235100ull);
 }
 
 TEST(ScenarioTest, DefaultsMatchConfigLoaderDefaults) {
@@ -50,7 +50,7 @@ TEST(ScenarioTest, ParseEmitParseIsIdentity) {
       "[hardware]\nweb=1\napp=2\ndb=2\n"
       "[soft]\napp_threads=20\ndb_connections=18\n"
       "[workload]\nkind=trace\ntrace=big-spike\npeak_users=200\nthink_seconds=1.5\n"
-      "[controller]\nkind=dcm\nheadroom=1.25\nsla_rt=0.8\npredictive=true\n"
+      "[controller]\nkind=dcm\nheadroom=1.25\nsla_rt=0.8\n"
       "[run]\nduration=120\nwarmup=10\nmax_vms=6\nseed=42\n";
   const Scenario first = Scenario::parse(text);
   const Scenario second = Scenario::parse(first.to_text());
@@ -63,8 +63,8 @@ TEST(ScenarioTest, ParseEmitParseIsIdentity) {
   EXPECT_EQ(second.workload.kind, WorkloadDecl::Kind::kTrace);
   EXPECT_EQ(second.workload.trace, "big-spike");
   EXPECT_DOUBLE_EQ(second.workload.think_seconds, 1.5);
-  EXPECT_DOUBLE_EQ(second.controller.headroom, 1.25);
-  EXPECT_TRUE(second.controller.predictive);
+  EXPECT_DOUBLE_EQ(second.controller.dcm.stp_headroom, 1.25);
+  EXPECT_DOUBLE_EQ(second.controller.policy.scale_out_response_time, 0.8);
   EXPECT_EQ(second.seed, 42u);
 }
 
@@ -73,6 +73,21 @@ TEST(ScenarioTest, UnknownSectionAndKeyAreRejected) {
   EXPECT_THROW(Scenario::parse("[controller]\nkidn=dcm\n"), std::runtime_error);
   EXPECT_THROW(Scenario::parse("[workload]\nseed=9\n"), std::runtime_error);
   EXPECT_THROW(Scenario::parse("toplevel=1\n"), std::runtime_error);
+}
+
+TEST(ScenarioTest, PredictiveFlagIsAnUnknownKey) {
+  // The threshold rule's predictive flag is gone: its scale-outs are the
+  // predictive family's at alpha = beta = horizon = 1.
+  for (const char* kind : {"ec2", "dcm"}) {
+    try {
+      Scenario::parse(std::string("[controller]\nkind=") + kind + "\npredictive=true\n");
+      ADD_FAILURE() << kind << ": accepted";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("unknown key [controller] predictive"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(ScenarioTest, KindScopesWhichKeysApply) {
@@ -101,7 +116,9 @@ TEST(ScenarioTest, ModelTriplesAreValidatedAndNormalized) {
   const Scenario scenario =
       Scenario::parse("[controller]\nkind=dcm\napp_model = 2.84e-2, 1e-4, 7.09e-7\n");
   // Canonical spelling: shortest round-trip form, no spaces.
-  EXPECT_EQ(scenario.controller.app_model.find(' '), std::string::npos);
+  EXPECT_NE(scenario.to_text().find("app_model = 0.0284,1e-04,7.09e-07\n"), std::string::npos);
+  // The reference models are the defaults, so db_model is not spelled out.
+  EXPECT_EQ(scenario.to_text().find("db_model"), std::string::npos);
   // Normalization is a fixed point through the round trip, and the values
   // survive exactly into the runnable config.
   EXPECT_TRUE(Scenario::parse(scenario.to_text()) == scenario);
@@ -146,7 +163,7 @@ TEST(ScenarioExperimentTest, FullExperimentTranslation) {
                               "[hardware]\nweb=1\napp=2\ndb=2\n"
                               "[soft]\napp_threads=20\ndb_connections=18\n"
                               "[workload]\nkind=jmeter\nusers=64\n"
-                              "[controller]\nkind=ec2\nscale_out_util=0.7\npredictive=true\n"
+                              "[controller]\nkind=ec2\nscale_out_util=0.7\n"
                               "sla_rt=0.8\n"
                               "[run]\nduration=120\nwarmup=10\nmax_vms=6\n")
                               .experiment();
@@ -156,7 +173,6 @@ TEST(ScenarioExperimentTest, FullExperimentTranslation) {
   EXPECT_EQ(experiment.workload.users, 64);
   EXPECT_EQ(experiment.controller.name, "ec2");
   EXPECT_DOUBLE_EQ(experiment.controller.policy.scale_out_util, 0.7);
-  EXPECT_TRUE(experiment.controller.policy.predictive);
   EXPECT_DOUBLE_EQ(experiment.controller.policy.scale_out_response_time, 0.8);
   EXPECT_EQ(experiment.max_vms_per_tier, 6);
 }
@@ -206,7 +222,7 @@ TEST(ScenarioExperimentTest, UnknownKindsThrow) {
   EXPECT_THROW(missing.experiment(), std::runtime_error);
   // A programmatic kind outside the registry fails at translation too.
   Scenario bogus;
-  bogus.controller.kind = "pid";
+  bogus.controller.name = "pid";
   EXPECT_THROW(bogus.experiment(), std::runtime_error);
 }
 
@@ -348,8 +364,8 @@ TEST(RegistryTest, AllScenariosParseAndRoundTrip) {
 
 TEST(RegistryTest, ChaosResilienceScenarioArmsFaultsAndResilience) {
   const Scenario chaos = get_scenario("chaos-resilience");
-  EXPECT_EQ(chaos.controller.kind, "dcm");
-  EXPECT_TRUE(chaos.controller.online_estimation);
+  EXPECT_EQ(chaos.controller.name, "dcm");
+  EXPECT_TRUE(chaos.controller.dcm.online_estimation);
   EXPECT_TRUE(chaos.resilience.enabled);
   const auto experiment = chaos.experiment();
   EXPECT_TRUE(experiment.faults.any_enabled());
@@ -386,11 +402,11 @@ TEST(RegistryTest, CanonicalScenariosMatchThePaperSetups) {
   EXPECT_EQ(fig5.workload.kind, WorkloadDecl::Kind::kTrace);
   EXPECT_EQ(fig5.workload.trace, "large-variation");
   EXPECT_EQ(fig5.soft.app_threads, 200);
-  EXPECT_EQ(fig5.controller.kind, "dcm");
+  EXPECT_EQ(fig5.controller.name, "dcm");
   EXPECT_DOUBLE_EQ(fig5.duration_seconds, 700.0);
 
   const Scenario ec2 = get_scenario("fig5-ec2");
-  EXPECT_EQ(ec2.controller.kind, "ec2");
+  EXPECT_EQ(ec2.controller.name, "ec2");
   // Paired comparison: identical deployment, workload and root seed.
   EXPECT_TRUE(ec2.hardware == fig5.hardware);
   EXPECT_TRUE(ec2.soft == fig5.soft);
@@ -482,7 +498,7 @@ TEST(ScenarioTest, PredictiveControllerVocabularyRoundTrips) {
       "[controller]\nkind=predictive\nalpha=0.6\nbeta=0.2\nhorizon=4\nhysteresis=0.05\n");
   const Scenario again = Scenario::parse(scenario.to_text());
   EXPECT_TRUE(scenario == again);
-  EXPECT_EQ(again.controller.kind, "predictive");
+  EXPECT_EQ(again.controller.name, "predictive");
   const auto experiment = scenario.experiment();
   EXPECT_EQ(experiment.controller.name, "predictive");
   EXPECT_DOUBLE_EQ(experiment.controller.predictive.level_alpha, 0.6);
@@ -512,9 +528,7 @@ TEST(ScenarioTest, ZooKindsScopeTheirTuningKeys) {
   EXPECT_THROW(Scenario::parse("[controller]\nkind=queueing\nalpha=0.5\n"), std::runtime_error);
   EXPECT_THROW(Scenario::parse("[controller]\nkind=predictive\nkp=2\n"), std::runtime_error);
   EXPECT_THROW(Scenario::parse("[controller]\nkind=ec2\ntarget_util=0.6\n"), std::runtime_error);
-  // The threshold-rule extensions stay with the threshold-rule families.
-  EXPECT_THROW(Scenario::parse("[controller]\nkind=queueing\npredictive=true\n"),
-               std::runtime_error);
+  // The threshold-rule extension stays with the threshold-rule families.
   EXPECT_THROW(Scenario::parse("[controller]\nkind=pi\nsla_rt=0.5\n"), std::runtime_error);
   // The hysteresis gate belongs to every real controller, but not to none.
   EXPECT_NO_THROW(Scenario::parse("[controller]\nkind=ec2\nhysteresis=0.05\n"));
@@ -622,6 +636,18 @@ TEST(ScenarioTest, HostileValuesAreRejectedNamingTheirKey) {
       {"fig5-ec2", {{"controller.sla_rt", "nan"}}, "[controller] sla_rt"},
       {"fig5-ec2", {{"controller.sla_rt", "-1"}}, "[controller] sla_rt"},
       {"fig5", {{"controller.control_period", "inf"}}, "[controller] control_period"},
+      // DCM needs an app node upstream of a db node; over two cache tiers it
+      // used to run, resizing the caches' pools.
+      {"quickstart",
+       {{"topology.kind", "graph"},
+        {"topology.nodes", "a:web, b:cache, c:cache"},
+        {"topology.edges", "a->b:1, b->c:1"},
+        {"controller.kind", "dcm"}},
+       "[controller] kind"},
+      {"diamond-cache",
+       {{"topology.nodes", "apache:web, mysql:db, tomcat:app"},
+        {"topology.edges", "apache->mysql:1, apache->tomcat:1"}},
+       "[controller] kind"},
       {"quickstart",
        {{"controller.kind", "pi"}, {"controller.kp", "inf"}},
        "[controller] kp"},
@@ -691,7 +717,7 @@ TEST(ScenarioTest, KeyAppliesFollowsZooKinds) {
   EXPECT_FALSE(scenario_key_applies(config, "controller", "alpha"));
   config.set("controller", "kind", "queueing");
   EXPECT_TRUE(scenario_key_applies(config, "controller", "target_util"));
-  EXPECT_FALSE(scenario_key_applies(config, "controller", "predictive"));
+  EXPECT_FALSE(scenario_key_applies(config, "controller", "sla_rt"));
 }
 
 }  // namespace

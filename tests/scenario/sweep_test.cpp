@@ -139,10 +139,10 @@ TEST(ExpandGridTest, KindOverrideRescopesKeys) {
   plan.axes.push_back(parse_axis("controller.kind=dcm,ec2,none"));
   const auto runs = expand_grid(plan);
   ASSERT_EQ(runs.size(), 3u);
-  EXPECT_EQ(runs[0].scenario.controller.kind, "dcm");
-  EXPECT_DOUBLE_EQ(runs[0].scenario.controller.headroom, 1.5);
-  EXPECT_EQ(runs[1].scenario.controller.kind, "ec2");
-  EXPECT_EQ(runs[2].scenario.controller.kind, "none");
+  EXPECT_EQ(runs[0].scenario.controller.name, "dcm");
+  EXPECT_DOUBLE_EQ(runs[0].scenario.controller.dcm.stp_headroom, 1.5);
+  EXPECT_EQ(runs[1].scenario.controller.name, "ec2");
+  EXPECT_EQ(runs[2].scenario.controller.name, "none");
 }
 
 TEST(ExpandGridTest, TypoOverrideStillThrows) {
@@ -159,7 +159,7 @@ TEST(ApplyOverridesTest, KindChangeDropsKeysOfTheOldKind) {
       "[controller]\nkind=dcm\nheadroom=1.5\nonline_estimation=true\n"
       "[resilience]\nenabled=true\nwatchdog_periods=3\n");
   const Scenario pi = apply_overrides(base, {{"controller.kind", "pi"}, {"controller.kp", "3"}});
-  EXPECT_EQ(pi.controller.kind, "pi");
+  EXPECT_EQ(pi.controller.name, "pi");
   EXPECT_DOUBLE_EQ(pi.controller.pi.kp, 3.0);
   // The pi family's other knobs keep their control-layer defaults.
   EXPECT_DOUBLE_EQ(pi.controller.pi.ki, control::PiConfig{}.ki);

@@ -29,7 +29,7 @@ ExperimentConfig base_config(uint64_t seed) {
   // attribution table (zero-width waits are elided from the fold).
   config.soft = {1000, 8, 80};
   config.workload = WorkloadSpec::rubbos(60, /*think_s=*/1.0);
-  config.controller = ControllerSpec::ec2();
+  config.controller = ControllerSpec{.name = "ec2"};
   config.duration_seconds = 20.0;
   config.warmup_seconds = 5.0;
   config.seed = seed;

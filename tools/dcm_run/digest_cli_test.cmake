@@ -106,6 +106,10 @@ expect_usage_error("[controller] headroom" run fig5 --set controller.headroom=0.
 expect_usage_error("[trace] rate"
                    run quickstart --set trace.enabled=true --set trace.rate=nan)
 expect_usage_error("[workload] users" run quickstart --set workload.users=4294967396)
+# The threshold rule's predictive flag is gone: the predictive family at
+# alpha = beta = horizon = 1 issues its scale-outs.
+expect_usage_error("[controller] predictive"
+                   run fig5-ec2 --set controller.predictive=true)
 
 # Run events live in the run's result, not on stderr: a chaos run and a
 # parallel chaos tournament (crashes, ejections, watchdog freezes in every
@@ -129,6 +133,7 @@ function(expect_quiet_digest expected)
 endfunction()
 expect_quiet_digest("result_digest 11487354307476855148"
                     run chaos-resilience --digest --quiet)
+expect_quiet_digest("result_digest 3725650455189126203" run fig5-ec2 --digest --quiet)
 expect_quiet_digest("scorecard_digest 983756083291032948"
                     tournament chaos-resilience --controllers dcm,ec2 --jobs 2 --digest --quiet)
 
